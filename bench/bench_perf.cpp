@@ -33,7 +33,6 @@
 #include "util/charscan.h"
 #include "util/rng.h"
 #include "util/sha1.h"
-#include "util/sha1_batch.h"
 
 namespace {
 
@@ -55,25 +54,6 @@ void BM_SaltedToken(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SaltedToken);
-
-void BM_Sha1Batch4(benchmark::State& state) {
-  // Four single-block digests per kernel call — the word-hash batch
-  // path. Compare items/s against BM_SaltedToken to see the lane win.
-  using namespace std::string_view_literals;
-  // sv literals: the embedded salt/word NUL separator must survive.
-  const std::string_view messages[util::Sha1Batch::kLanes] = {
-      "salt\0UUNET-import"sv, "salt\0cr1.sfo.foocorp.com"sv,
-      "salt\0CUST-ACME-in"sv, "salt\0loopback-mgmt"sv};
-  util::Sha1::Digest digests[util::Sha1Batch::kLanes];
-  for (auto _ : state) {
-    util::Sha1Batch::Hash4(messages, digests);
-    benchmark::DoNotOptimize(digests);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(util::Sha1Batch::kLanes));
-  state.SetLabel(util::Sha1BatchImplName());
-}
-BENCHMARK(BM_Sha1Batch4);
 
 void BM_TreeIpMap(benchmark::State& state) {
   ipanon::IpAnonymizer anonymizer("bench-salt");

@@ -26,6 +26,10 @@
 //                               counters and the ingest/emit phases.
 //                               Without it the corpus stays in memory and
 //                               only the anonymize/audit phases run.
+//                               Each router is spilled to
+//                               in-<network>/<index>-<hostname>.cfg; the
+//                               run exits 1 if the lines read back differ
+//                               from the lines generated.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -60,10 +64,6 @@ void PreregisterFamilies(confanon::obs::MetricsRegistry& registry) {
   registry.HistogramNamed("core.line_ns");
   registry.HistogramNamed("core.file_ns");
   registry.HistogramNamed("core.tokenize_ns");
-  registry.HistogramNamed("hash.batch_ns");
-  registry.HistogramNamed("hash.lane_fill");
-  registry.CounterNamed("hash.batched_words");
-  registry.CounterNamed("hash.batch_flushes");
   registry.CounterNamed("ipanon.cache_hits");
   registry.CounterNamed("ipanon.cache_misses");
   registry.CounterNamed("ipanon.preloaded_addresses");
@@ -193,7 +193,12 @@ int main(int argc, char** argv) {
       }
       input_paths[i].reserve(tasks[i].files.size());
       for (const auto& file : tasks[i].files) {
-        const std::string path = (dir / (file.name() + ".cfg")).string();
+        // Generated hostnames can repeat within a network; the file's
+        // index keeps every router its own file on disk.
+        const std::string path =
+            (dir / (std::to_string(input_paths[i].size()) + "-" +
+                    file.name() + ".cfg"))
+                .string();
         std::string error;
         if (!spill.Open(path, &error)) {
           std::fprintf(stderr, "bench_scale: %s\n", error.c_str());
@@ -215,6 +220,7 @@ int main(int argc, char** argv) {
     const obs::PhaseProfiler::ScopedPhase ingest_phase(&profiler, nullptr,
                                                        "ingest");
     std::uint64_t bytes_read = 0, read_ns = 0, mmap_files = 0;
+    std::size_t lines_read = 0;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       tasks[i].files.reserve(input_paths[i].size());
       for (const std::string& path : input_paths[i]) {
@@ -230,7 +236,14 @@ int main(int argc, char** argv) {
         tasks[i].files.push_back(config::ConfigFile::FromBacking(
             std::filesystem::path(path).stem().string(), contents->view,
             std::move(contents->backing)));
+        lines_read += tasks[i].files.back().LineCount();
       }
+    }
+    if (lines_read != lines) {
+      std::fprintf(stderr,
+                   "bench_scale: ingested %zu lines from %s, generated %zu\n",
+                   lines_read, io_dir.c_str(), lines);
+      return 1;
     }
     registry.CounterNamed("io.bytes_read").Add(bytes_read);
     registry.CounterNamed("io.read_ns").Add(read_ns);

@@ -103,8 +103,7 @@ Anonymizer::Anonymizer(AnonymizerOptions options,
       enabled_{},
       shared_state_(state != nullptr),
       state_(shared_state_ ? std::move(state)
-                           : std::make_shared<NetworkState>(options_.salt)),
-      batcher_(state_->hasher) {
+                           : std::make_shared<NetworkState>(options_.salt)) {
   pass_list_.Merge(options_.extra_pass_list);
   const auto on = [&](const char* name) {
     return !options_.disabled_rules.contains(name);
@@ -243,11 +242,6 @@ config::ConfigFile Anonymizer::AnonymizeFile(const config::ConfigFile& file) {
       AnonymizeLine(file, index, in_banner, banner_start, out_lines);
     }
   }
-  // Resolve the remaining partial hash batch (dummy-padded lanes) and
-  // render the lines waiting on it — the pending words and deferred token
-  // views are arena-backed, so this must precede the reset.
-  batcher_.FlushAll();
-  DrainDeferred(out_lines);
   // Every line has been rendered into an owned output string; no
   // arena-backed view survives past this point.
   arena_.Reset();
@@ -335,46 +329,12 @@ void Anonymizer::AnonymizeLine(const config::ConfigFile& file,
     ctx.lower.push_back(util::ToLowerArena(word, arena_));
   }
   ctx.handled.assign(ctx.tokens.words.size(), false);
-  ctx.pending_slots = 0;
   ApplyWordPasses(ctx);
-  if (ctx.pending_slots == 0) {
-    out_lines.push_back(ctx.tokens.Render());
-  } else {
-    // Some hash tokens are still pending in the batcher: park the line
-    // (moving the token vectors keeps the slot addresses stable) and
-    // reserve its output position. It renders once the batcher's
-    // resolved sequence reaches everything this line enqueued.
-    deferred_.push_back(DeferredLine{std::move(ctx.tokens), out_lines.size(),
-                                     batcher_.enqueued_seq()});
-    out_lines.emplace_back();
-  }
-  // Flush policy: full 4-lane batches flush eagerly; with a provenance
-  // log installed everything flushes per line, since the log records
-  // post-line word counts and must see the rendered line immediately.
-  if (provenance_ != nullptr) {
-    batcher_.FlushAll();
-  } else {
-    batcher_.FlushFull();
-  }
-  DrainDeferred(out_lines);
+  out_lines.push_back(ctx.tokens.Render());
 }
 
 void Anonymizer::HashWord(LineCtx& ctx, std::size_t i) {
-  if (const std::string* token =
-          batcher_.Lookup(ctx.tokens.words[i], arena_, &ctx.tokens.words[i])) {
-    ctx.SetWordRef(i, *token);
-  } else {
-    ++ctx.pending_slots;
-  }
-}
-
-void Anonymizer::DrainDeferred(std::vector<std::string>& out_lines) {
-  while (!deferred_.empty() &&
-         deferred_.front().seq <= batcher_.resolved_seq()) {
-    DeferredLine& line = deferred_.front();
-    out_lines[line.out_index] = line.tokens.Render();
-    deferred_.pop_front();
-  }
+  ctx.SetWordRef(i, state_->hasher.Hash(ctx.tokens.words[i]));
 }
 
 void Anonymizer::ApplyWordPasses(LineCtx& ctx) {
@@ -460,17 +420,6 @@ void Anonymizer::ApplyHooks() {
   rewrite_memo_hits_ =
       metrics_ != nullptr ? &metrics_->CounterNamed("asn.rewrite_memo_hits")
                           : nullptr;
-  // The batched word-hash instruments are unprefixed ("hash.*"): the
-  // hasher is dialect-agnostic shared state, so both engines feed the
-  // same instruments.
-  if (metrics_ != nullptr) {
-    batcher_.set_metrics(&metrics_->HistogramNamed("hash.batch_ns"),
-                         &metrics_->CounterNamed("hash.batched_words"),
-                         &metrics_->CounterNamed("hash.batch_flushes"),
-                         &metrics_->HistogramNamed("hash.lane_fill"));
-  } else {
-    batcher_.set_metrics(nullptr, nullptr, nullptr, nullptr);
-  }
 }
 
 void Anonymizer::RecordRewrite(const asn::RewriteResult& result) {
@@ -835,8 +784,6 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
     if (!pass_list_.Contains(words[i])) {
       leak_record_.hashed_words.insert(std::string(words[i]));
     }
-    // Memo hits rewrite immediately; misses batch through the 4-way
-    // SHA-1 kernel and patch the word at flush time.
     HashWord(ctx, i);
     handled[i] = true;
     ++report_.words_hashed;

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -47,7 +46,6 @@
 #include "config/document.h"
 #include "config/tokenizer.h"
 #include "core/engine.h"
-#include "core/hash_batcher.h"
 #include "core/leak_detector.h"
 #include "core/network_state.h"
 #include "core/report.h"
@@ -222,10 +220,8 @@ class Anonymizer : public AnonymizerEngine {
 
   /// Collects every word in `file` the T1/T2 pass-list rules would hash
   /// (some alphabetic segment missing from `pass_list`). Views alias
-  /// the file's lines. Over-approximates: a collected word that no rule
-  /// ends up hashing only costs an unused memo entry, so the pipeline
-  /// can prewarm the shared hasher in full 4-lane batches before the
-  /// workers start.
+  /// the file's lines. Over-approximates. Only the benchmark replay's
+  /// memo prewarm calls this (see core/hash_batcher.h).
   static void CollectHashCandidates(const config::ConfigFile& file,
                                     const passlist::PassList& pass_list,
                                     std::vector<std::string_view>& out);
@@ -245,9 +241,6 @@ class Anonymizer : public AnonymizerEngine {
     std::vector<std::string_view> lower;
     std::vector<bool> handled;
     util::Arena* arena = nullptr;
-    /// Words whose hash token is still pending in the batcher; when
-    /// nonzero at line end the line is deferred instead of rendered.
-    std::size_t pending_slots = 0;
 
     /// Repoints words[i] at `stable` — bytes the caller guarantees
     /// outlive the line (hasher memo entries, string literals).
@@ -320,17 +313,8 @@ class Anonymizer : public AnonymizerEngine {
   /// moving to token i+1.
   void ApplyTokenRules(LineCtx& ctx);
 
-  /// Replaces words[i] with its hash token: memo hits rewrite in place,
-  /// misses register the word slot with the batcher and defer the line.
-  /// After this call ctx.lower[i] is stale on the miss path; no rule may
-  /// read words[i]/lower[i] once token i has been hashed (all current
-  /// rules guard reads with !handled[i] or only read leading keywords,
-  /// which are never hashed before being read).
+  /// Replaces words[i] with its hash token from the shared hasher.
   void HashWord(LineCtx& ctx, std::size_t i);
-
-  /// Renders every deferred line whose pending words have all been
-  /// resolved by a flush, patching its placeholder in `out_lines`.
-  void DrainDeferred(std::vector<std::string>& out_lines);
 
   /// Public ASNs accepted by a policy regexp (for the A12 audit record).
   std::vector<std::uint32_t> AcceptedPublicAsns(
@@ -370,21 +354,6 @@ class Anonymizer : public AnonymizerEngine {
   util::Arena arena_;
   /// Reused across lines so tokenize allocates nothing in steady state.
   LineCtx line_ctx_;
-
-  /// Lines waiting on pending hash tokens: the token vectors are moved
-  /// here (element addresses — the batcher's slots — survive the move)
-  /// and rendered into their reserved out_lines position once the
-  /// batcher's resolved sequence catches up. FIFO: flushes resolve
-  /// oldest words first, so lines complete in order.
-  struct DeferredLine {
-    config::LineTokens tokens;
-    std::size_t out_index;
-    std::uint64_t seq;
-  };
-  std::deque<DeferredLine> deferred_;
-  /// Cross-line batcher over the shared hasher (declared after state_;
-  /// construction order matters).
-  HashBatcher batcher_;
 };
 
 }  // namespace confanon::core

@@ -1,122 +1,36 @@
-// Cross-line batching of memo-miss word hashes (paper rule I4, batched).
+// Memo prewarm for the benchmark's traced replay.
 //
-// Memo misses are sparse — a router config re-uses its identifiers, so
-// most lines resolve every hashed word from the StringHasher memo. A
-// per-line batch would therefore flush mostly 1-live-lane batches and
-// waste the 4-way kernel. This batcher instead accumulates misses
-// *across* lines: a miss registers the output slot (the string_view that
-// will eventually hold the token) and the owning line is deferred,
-// rendered only once a later flush resolves its slots. Full 4-lane
-// batches flush eagerly; the remainder is flushed — dummy-padded — at
-// file end, before the owning engine resets its arena.
-//
-// Sequencing: every new pending word gets a monotone sequence number, and
-// flushes always resolve the oldest pending words first, so a deferred
-// line becomes renderable exactly when `resolved_seq() >= ` the sequence
-// it observed at its end. Engines drain their deferred lines in order,
-// which keeps output order identical to the scalar path.
-//
-// Single-threaded by design: each engine (and thus each pipeline worker)
-// owns one batcher; only the memo install inside StringHasher::HashBatch
-// takes locks.
+// The library hashes words only through StringHasher::Hash, which probes
+// the memo and computes the salted SHA-1 inline on a miss. The only
+// callers of PrewarmHashMemo and of the engines' static
+// CollectHashCandidates are the `core.prewarm` row of
+// perfbench/replay.cpp; they go once the benchmark drops that row.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/string_hasher.h"
-#include "obs/metrics.h"
-#include "util/arena.h"
-#include "util/sha1_batch.h"
+
+namespace confanon::obs {
+class MetricsRegistry;
+}  // namespace confanon::obs
 
 namespace confanon::core {
 
-class HashBatcher {
- public:
-  static constexpr std::size_t kLanes = util::Sha1Batch::kLanes;
-
-  explicit HashBatcher(StringHasher& hasher) : hasher_(&hasher) {}
-
-  HashBatcher(const HashBatcher&) = delete;
-  HashBatcher& operator=(const HashBatcher&) = delete;
-
-  /// Instrument pointers from the obs registry (any may be null).
-  void set_metrics(obs::LatencyHistogram* batch_ns,
-                   obs::Counter* batched_words, obs::Counter* batch_flushes,
-                   obs::LatencyHistogram* lane_fill);
-
-  /// Memo probe + enqueue. On a memo hit returns the stable token (the
-  /// caller rewrites its word immediately, exactly like the scalar path).
-  /// On a miss, copies `word` into `arena`, registers `slot` to be patched
-  /// at flush time, and returns nullptr — the caller must then defer
-  /// rendering of the owning line until `resolved_seq() >= enqueued_seq()`
-  /// as observed at the line's end. `slot` must stay valid until the
-  /// resolving flush (moving its owning vector is fine; reallocation that
-  /// changes element addresses is not).
-  ///
-  /// With `quote`, a *missed* word's slot is patched with the token
-  /// wrapped in double quotes (allocated from `arena`), matching the
-  /// JunOS string-token form; on a hit the caller quotes, since it sees
-  /// the raw token.
-  const std::string* Lookup(std::string_view word, util::Arena& arena,
-                            std::string_view* slot, bool quote = false);
-
-  /// Flushes while at least one full 4-lane batch is pending.
-  void FlushFull();
-
-  /// Flushes everything, padding the final partial batch with dummy
-  /// lanes. Must run before the arena backing the pending words resets.
-  void FlushAll();
-
-  /// Sequence number of the most recently enqueued / resolved word.
-  std::uint64_t enqueued_seq() const { return enqueued_seq_; }
-  std::uint64_t resolved_seq() const { return resolved_seq_; }
-
-  bool HasPending() const { return !pending_.empty(); }
-
- private:
-  struct Slot {
-    std::string_view* view;
-    util::Arena* quote_arena;  // non-null: patch with "token" (quoted)
-  };
-  struct Pending {
-    std::string_view word;  // arena-backed copy, stable until flush
-    std::uint64_t seq;
-    std::vector<Slot> slots;
-  };
-
-  /// Resolves the oldest min(kLanes, pending) words through the kernel.
-  void FlushBatch();
-
-  StringHasher* hasher_;
-  std::deque<Pending> pending_;
-  /// word -> its pending entry, so duplicate misses of a not-yet-flushed
-  /// word attach more slots instead of hashing twice. Deque pointers are
-  /// stable under push_back/pop_front.
-  std::unordered_map<std::string_view, Pending*> index_;
-  std::uint64_t enqueued_seq_ = 0;
-  std::uint64_t resolved_seq_ = 0;
-
-  obs::LatencyHistogram* batch_ns_ = nullptr;
-  obs::Counter* batched_words_ = nullptr;
-  obs::Counter* batch_flushes_ = nullptr;
-  obs::LatencyHistogram* lane_fill_ = nullptr;
-};
-
-/// Prewarms the hasher's memo with `words` (arbitrary duplicates and
-/// memo hits allowed; both are skipped) in full 4-lane batches, feeding
-/// the same `hash.*` instruments as HashBatcher when `metrics` is
-/// non-null. The pipeline runs this corpus-wide before its workers
-/// start, so per-file remainder flushes stop dominating lane fill on
-/// corpora whose per-file miss count is small. Single-threaded; returns
-/// the number of words hashed.
-std::size_t PrewarmHashMemo(StringHasher& hasher,
-                            const std::vector<std::string_view>& words,
-                            obs::MetricsRegistry* metrics);
+/// Hashes every distinct word of `words` that is not yet in the memo and
+/// returns how many that was. `metrics` is unused.
+inline std::size_t PrewarmHashMemo(StringHasher& hasher,
+                                   const std::vector<std::string_view>& words,
+                                   obs::MetricsRegistry* /*metrics*/) {
+  std::size_t hashed = 0;
+  for (const std::string_view word : words) {
+    if (hasher.Find(word) != nullptr) continue;
+    hasher.Hash(word);
+    ++hashed;
+  }
+  return hashed;
+}
 
 }  // namespace confanon::core

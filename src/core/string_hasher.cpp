@@ -1,33 +1,11 @@
 #include "core/string_hasher.h"
 
-#include <cstdint>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 
 #include "util/sha1.h"
-#include "util/sha1_batch.h"
 
 namespace confanon::core {
-
-namespace {
-
-/// Token from a salted digest: "h" + first 10 hex chars. Identical to the
-/// scalar path's SaltedHexToken + leading-'h' insert (the letter keeps
-/// tokens valid IOS identifiers).
-std::string TokenFromDigest(const util::Sha1::Digest& digest) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string token;
-  token.reserve(11);
-  token.push_back('h');
-  for (int i = 0; i < 5; ++i) {
-    token.push_back(kHex[digest[i] >> 4]);
-    token.push_back(kHex[digest[i] & 0x0F]);
-  }
-  return token;
-}
-
-}  // namespace
 
 std::size_t StringHasher::MemoShardOf(std::string_view word) {
   return std::hash<std::string_view>{}(word) % kShards;
@@ -82,52 +60,6 @@ const std::string& StringHasher::Hash(std::string_view word) {
   std::string token = util::SaltedHexToken(salt_, word, 10);
   token.insert(0, 1, 'h');
   return Install(word, std::move(token));
-}
-
-std::size_t StringHasher::HashBatch(const std::string_view* words,
-                                    std::size_t count,
-                                    const std::string** out) {
-  using util::Sha1Batch;
-  // Assemble the salted single-block messages: salt || 0x00 || word.
-  std::uint8_t buffers[Sha1Batch::kLanes][Sha1Batch::kMaxMessageLen];
-  std::string_view messages[Sha1Batch::kLanes];
-  std::size_t lane_word[Sha1Batch::kLanes];
-  std::size_t lanes = 0;
-  for (std::size_t i = 0; i < count && i < Sha1Batch::kLanes; ++i) {
-    const std::size_t msg_len = salt_.size() + 1 + words[i].size();
-    if (msg_len > Sha1Batch::kMaxMessageLen) continue;  // multi-block: scalar
-    std::uint8_t* buf = buffers[lanes];
-    std::memcpy(buf, salt_.data(), salt_.size());
-    buf[salt_.size()] = 0x00;
-    if (!words[i].empty()) {
-      std::memcpy(buf + salt_.size() + 1, words[i].data(), words[i].size());
-    }
-    messages[lanes] = std::string_view(reinterpret_cast<const char*>(buf),
-                                       msg_len);
-    lane_word[lanes] = i;
-    ++lanes;
-  }
-
-  util::Sha1::Digest digests[Sha1Batch::kLanes];
-  if (lanes > 0) {
-    // Pad dead lanes with an empty dummy message; its digest is discarded.
-    for (std::size_t l = lanes; l < Sha1Batch::kLanes; ++l) {
-      messages[l] = std::string_view();
-    }
-    Sha1Batch::Hash4(messages, digests);
-  }
-  for (std::size_t l = 0; l < lanes; ++l) {
-    out[lane_word[l]] = &Install(words[lane_word[l]],
-                                 TokenFromDigest(digests[l]));
-  }
-  // Oversized words (salted message spans multiple blocks) take the exact
-  // scalar path, preserving byte-identical tokens.
-  for (std::size_t i = 0; i < count && i < Sha1Batch::kLanes; ++i) {
-    if (salt_.size() + 1 + words[i].size() > Sha1Batch::kMaxMessageLen) {
-      out[i] = &Hash(words[i]);
-    }
-  }
-  return lanes;
 }
 
 std::size_t StringHasher::DistinctCount() const {

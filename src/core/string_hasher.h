@@ -49,16 +49,6 @@ class StringHasher {
   /// lifetime.
   const std::string* Find(std::string_view word) const;
 
-  /// Hashes up to Sha1Batch::kLanes *distinct* words in one call, writing
-  /// `out[i]` = stable memo token for `words[i]`. Words whose salted
-  /// message fits one SHA-1 block go through the 4-way batch kernel
-  /// (remainder lanes padded with dummy messages and discarded); oversized
-  /// words take the multi-block scalar path. Tokens are byte-identical to
-  /// Hash() on each word. Returns the number of words digested by the
-  /// batch kernel. Thread-safe (the memo install takes shard locks).
-  std::size_t HashBatch(const std::string_view* words, std::size_t count,
-                        const std::string** out);
-
   /// Number of distinct originals hashed so far.
   std::size_t DistinctCount() const;
 

@@ -70,8 +70,7 @@ JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options,
       shared_state_(state != nullptr),
       state_(shared_state_
                  ? std::move(state)
-                 : std::make_shared<core::NetworkState>(options_.salt)),
-      batcher_(state_->hasher) {
+                 : std::make_shared<core::NetworkState>(options_.salt)) {
   pass_list_.Merge(options_.extra_pass_list);
 }
 
@@ -170,11 +169,6 @@ config::ConfigFile JunosAnonymizer::AnonymizeFile(
       AnonymizeLine(file.lines()[index], out_lines);
     }
   }
-  // Resolve the remaining partial hash batch (dummy-padded lanes) and
-  // render the lines waiting on it — pending words and deferred token
-  // views are arena-backed, so this must precede the reset.
-  batcher_.FlushAll();
-  DrainDeferred(out_lines);
   // Every line has been rendered into an owned output string; no
   // arena-backed view survives past this point.
   arena_.Reset();
@@ -245,35 +239,8 @@ void JunosAnonymizer::AnonymizeLine(std::string_view raw,
     TokenizeJunosLineInto(raw, line);
   }
   report_.total_words += WordCount(line);
-  line_pending_ = 0;
   ProcessLine(line);
-  if (line_pending_ == 0) {
-    out_lines.push_back(line.Render());
-  } else {
-    // Hash tokens still pending in the batcher: park the line (the token
-    // vector move keeps the registered slot addresses stable) and
-    // reserve its output position.
-    deferred_.push_back(DeferredJunosLine{std::move(line), out_lines.size(),
-                                          batcher_.enqueued_seq()});
-    out_lines.emplace_back();
-  }
-  // Same flush policy as the core engine: eager full batches, everything
-  // per line when a provenance log needs the rendered output at once.
-  if (provenance_ != nullptr) {
-    batcher_.FlushAll();
-  } else {
-    batcher_.FlushFull();
-  }
-  DrainDeferred(out_lines);
-}
-
-void JunosAnonymizer::DrainDeferred(std::vector<std::string>& out_lines) {
-  while (!deferred_.empty() &&
-         deferred_.front().seq <= batcher_.resolved_seq()) {
-    DeferredJunosLine& entry = deferred_.front();
-    out_lines[entry.out_index] = entry.line.Render();
-    deferred_.pop_front();
-  }
+  out_lines.push_back(line.Render());
 }
 
 void JunosAnonymizer::ObserveLine(const std::string& file_name,
@@ -336,17 +303,6 @@ void JunosAnonymizer::ApplyHooks() {
   tokenize_hist_ = metrics_ != nullptr
                        ? &metrics_->HistogramNamed("junos.tokenize_ns")
                        : nullptr;
-  // The word-hash batch instruments are unprefixed ("hash.*"): the hasher
-  // is dialect-agnostic shared state, so both engines feed the same
-  // instruments.
-  if (metrics_ != nullptr) {
-    batcher_.set_metrics(&metrics_->HistogramNamed("hash.batch_ns"),
-                         &metrics_->CounterNamed("hash.batched_words"),
-                         &metrics_->CounterNamed("hash.batch_flushes"),
-                         &metrics_->HistogramNamed("hash.lane_fill"));
-  } else {
-    batcher_.set_metrics(nullptr, nullptr, nullptr, nullptr);
-  }
 }
 
 void JunosAnonymizer::ExportKnownEntities(std::ostream& out) { (void)out; }
@@ -391,22 +347,15 @@ void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
   if (!pass_list_.Contains(original)) {
     leak_record_.hashed_words.insert(std::string(original));
   }
-  // Memo hits rewrite immediately; misses batch through the 4-way SHA-1
-  // kernel and patch the token text at flush time.
   HashToken(token);
   ++report_.words_hashed;
   report_.CountRule(rule);
 }
 
 void JunosAnonymizer::HashToken(Token& token) {
-  const bool quoted = token.kind == Token::Kind::kString;
-  const std::string_view original = Unquote(token.text);
-  if (const std::string* hashed =
-          batcher_.Lookup(original, arena_, &token.text, quoted)) {
-    token.text = quoted ? Quote(*hashed, arena_) : std::string_view(*hashed);
-  } else {
-    ++line_pending_;
-  }
+  const std::string& hashed = state_->hasher.Hash(Unquote(token.text));
+  token.text = token.kind == Token::Kind::kString ? Quote(hashed, arena_)
+                                                  : std::string_view(hashed);
 }
 
 std::string JunosAnonymizer::MapAsnText(std::string_view text) {
@@ -455,9 +404,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
   for (std::size_t w = 0; w < word_at.size(); ++w) {
     // Already-rewritten tokens can never match a context keyword (hash
     // tokens are "h"+hex, mapped values are digits, rewritten strings
-    // keep their quotes), so skipping them is behavior-preserving — and
-    // required once hashing is batched, since a pending token still
-    // shows its original text until the flush patches it.
+    // keep their quotes), so skipping them is behavior-preserving.
     if (handled[word_at[w]]) continue;
     const std::string_view keyword = util::ToLowerArena(word(w), arena_);
     const bool has_next = w + 1 < word_at.size();

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -39,7 +38,6 @@
 #include "asn/regex_rewrite.h"
 #include "config/document.h"
 #include "core/engine.h"
-#include "core/hash_batcher.h"
 #include "core/leak_detector.h"
 #include "core/network_state.h"
 #include "core/report.h"
@@ -114,7 +112,8 @@ class JunosAnonymizer : public core::AnonymizerEngine {
 
   /// JunOS counterpart of core::Anonymizer::CollectHashCandidates:
   /// unquoted word/string tokens whose segments fail `pass_list`. Views
-  /// alias the file's lines; over-approximation is harmless (see core).
+  /// alias the file's lines. Only the benchmark replay's memo prewarm
+  /// calls this (see core/hash_batcher.h).
   static void CollectHashCandidates(const config::ConfigFile& file,
                                     const passlist::PassList& pass_list,
                                     std::vector<std::string_view>& out);
@@ -142,13 +141,8 @@ class JunosAnonymizer : public core::AnonymizerEngine {
                    std::map<std::string, std::uint64_t>& rule_ns);
   /// Force-hashes the word token at `index` (records it when unknown).
   void ForceHash(JunosLine& line, std::size_t index, const char* rule);
-  /// Replaces `token` with its hash token (quoted for kString tokens):
-  /// memo hits rewrite in place, misses register the token's text slot
-  /// with the batcher and bump line_pending_ so the line is deferred.
+  /// Replaces `token` with its hash token (quoted for kString tokens).
   void HashToken(Token& token);
-  /// Renders every deferred line whose pending hash tokens have been
-  /// resolved, patching its placeholder in `out_lines`.
-  void DrainDeferred(std::vector<std::string>& out_lines);
   std::string MapAsnText(std::string_view text);
 
   JunosAnonymizerOptions options_;
@@ -178,20 +172,6 @@ class JunosAnonymizer : public core::AnonymizerEngine {
   util::Arena arena_;
   /// Reused across lines so tokenize allocates nothing in steady state.
   JunosLine line_buf_;
-
-  /// Hash tokens of the current line still pending in the batcher.
-  std::size_t line_pending_ = 0;
-  /// Lines parked until the batcher resolves their tokens; see the core
-  /// engine's DeferredLine (vector move keeps slot addresses stable).
-  struct DeferredJunosLine {
-    JunosLine line;
-    std::size_t out_index;
-    std::uint64_t seq;
-  };
-  std::deque<DeferredJunosLine> deferred_;
-  /// Cross-line batcher over the shared hasher (declared after state_;
-  /// construction order matters).
-  core::HashBatcher batcher_;
 };
 
 }  // namespace confanon::junos

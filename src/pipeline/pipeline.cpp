@@ -6,10 +6,8 @@
 #include <utility>
 
 #include "core/anonymizer.h"
-#include "core/hash_batcher.h"
 #include "obs/profiler.h"
 #include "obs/provenance.h"
-#include "passlist/passlist.h"
 #include "pipeline/parallel_for.h"
 #include "util/strings.h"
 #include "verify/verify.h"
@@ -149,31 +147,6 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     PreloadCorpus(files, dialects);
   }
 
-  // Phase 1.5: prewarm the shared hash memo in full 4-lane batches.
-  // Per-file miss counts are small, so without this the workers'
-  // HashBatchers would mostly flush dummy-padded remainders. The word
-  // set is an over-approximation of what the rule packs hash — tokens
-  // are pure functions of (salt, word), so extra memo entries cannot
-  // change a byte of output.
-  {
-    obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_,
-                                          "prewarm");
-    std::vector<std::string_view> candidates;
-    const passlist::PassList ios_list = passlist::PassList::Builtin();
-    const passlist::PassList junos_list = junos::JunosPassList();
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      if (dialects[i] == FileDialect::kJunos) {
-        junos::JunosAnonymizer::CollectHashCandidates(files[i], junos_list,
-                                                      candidates);
-      } else {
-        core::Anonymizer::CollectHashCandidates(files[i], ios_list,
-                                                candidates);
-      }
-    }
-    core::PrewarmHashMemo(session_->state()->hasher, candidates,
-                          hooks_.metrics);
-  }
-
   // Per-file provenance buffers, merged in corpus order at join so the
   // log is independent of which worker processed which file.
   const bool collect_provenance = hooks_.provenance != nullptr;
@@ -196,7 +169,7 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
 
   // Phase 2: parallel per-file anonymization. The phase window spans the
   // whole pool (open while any worker runs); at threads <= 1 RunWorkers
-  // executes inline, so the four phase windows tile the call exactly.
+  // executes inline, so the three phase windows tile the call exactly.
   WorkQueue queue(files.size(), context_->options().batch_size);
   {
     obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_,

@@ -121,9 +121,9 @@ class CorpusPipeline {
   /// are shared by all workers (both are thread-safe); provenance is
   /// captured per file and appended to hooks.provenance in corpus order
   /// at join, so the log is deterministic. When hooks.profiler is set,
-  /// AnonymizeCorpus brackets its sequential phases (preload, prewarm,
-  /// anonymize, join) so the profiler attributes wall time and hardware
-  /// counters per phase; when hooks.trace is also set, matching
+  /// AnonymizeCorpus brackets its sequential phases (preload, anonymize,
+  /// join) so the profiler attributes wall time and hardware counters
+  /// per phase; when hooks.trace is also set, matching
   /// "phase:<name>" spans land in the trace. Defaults to the context's
   /// hooks; calling this overrides them for this pipeline.
   void install_hooks(const obs::Hooks& hooks) {

@@ -6,9 +6,9 @@
 //     untouched token vector must reproduce the input bytes exactly —
 //     the zero-copy tokenizer may never lose or reorder a byte.
 //  2. Anonymization never crashes: the full engine (IOS and JunOS rule
-//     packs, including the batched SHA-1 word hashing and the deferred
-//     line rendering it introduces) must accept arbitrary input without
-//     UB — crashes, sanitizer reports, or thrown-through exceptions.
+//     packs, including salted word hashing) must accept arbitrary input
+//     without UB — crashes, sanitizer reports, or thrown-through
+//     exceptions.
 //
 // Built only under -DCONFANON_FUZZ=ON. With a Clang toolchain the target
 // links -fsanitize=fuzzer; elsewhere (the CI image ships GCC only) a

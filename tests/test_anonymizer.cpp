@@ -60,6 +60,16 @@ TEST(StringHasher, OriginalsRecorded) {
             (std::set<std::string>{"one", "two"}));
 }
 
+TEST(StringHasher, FindProbesWithoutInstalling) {
+  StringHasher hasher("salt");
+  EXPECT_EQ(hasher.Find("fresh-word"), nullptr);
+  EXPECT_EQ(hasher.DistinctCount(), 0u);
+  const std::string& token = hasher.Hash("fresh-word");
+  const std::string* found = hasher.Find("fresh-word");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, &token);
+}
+
 // --- comment rules ---
 
 TEST(Anonymizer, StripsBangCommentText) {

@@ -27,6 +27,11 @@ TEST(Ipv4Address, ParseLeadingZerosAccepted) {
 struct BadAddressCase {
   const char* text;
 };
+// Names each case by its text. gtest's fallback prints the struct's bytes,
+// so the discovered test name would carry a pointer and change every run.
+void PrintTo(const BadAddressCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.text);
+}
 class Ipv4ParseRejects : public ::testing::TestWithParam<BadAddressCase> {};
 
 TEST_P(Ipv4ParseRejects, Rejects) {
@@ -63,6 +68,9 @@ struct ClassCase {
   const char* text;
   AddrClass expected;
 };
+void PrintTo(const ClassCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.text);
+}
 class Ipv4ClassTest : public ::testing::TestWithParam<ClassCase> {};
 
 TEST_P(Ipv4ClassTest, Classifies) {

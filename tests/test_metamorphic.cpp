@@ -1,16 +1,16 @@
 // Metamorphic properties of the anonymizer.
 //
 // Instead of asserting exact outputs, these tests assert relations
-// BETWEEN runs — the properties that gate the batched SHA-1 hot path:
+// BETWEEN runs — the properties that gate the word-hashing hot path:
 //
 //  1. Determinism: the same salt gives byte-identical output at any
-//     thread count (the batch kernel must not let worker interleaving
-//     or lane packing leak into the bytes).
+//     thread count (worker interleaving, and so which worker first
+//     hashes a word, must not leak into the bytes).
 //  2. Salt independence of structure: two different salts give outputs
 //     that are pair-isomorphic under the map-free audit — renames
 //     change, the reference structure does not.
 //  3. Pass-list fixed points: words on the pass list survive bit-exact;
-//     hashing (batched or not) never touches them.
+//     hashing never touches them.
 //  4. Leak closure under iteration: re-anonymizing anonymized output
 //     introduces no new leak findings — the fixed point of the paper's
 //     Section 6.1 grep-back loop.

@@ -429,8 +429,8 @@ TEST(CorpusPipeline, RewriteMemoCountsRepeatedPatterns) {
 }
 
 TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
-  // At threads=1 the four phase windows (preload, prewarm, anonymize,
-  // join) tile AnonymizeCorpus exactly, so their wall total must track
+  // At threads=1 the three phase windows (preload, anonymize, join)
+  // tile AnonymizeCorpus exactly, so their wall total must track
   // the measured call duration — the acceptance check behind the
   // profiler's "self-times sum to wall time" claim. A generous absolute
   // slack absorbs scheduler noise on tiny corpora.
@@ -456,8 +456,8 @@ TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
   const obs::PhaseProfiler::Profile profile = profiler.Finish();
   std::vector<std::string> names;
   for (const auto& phase : profile.phases) names.push_back(phase.name);
-  EXPECT_EQ(names, (std::vector<std::string>{"preload", "prewarm",
-                                             "anonymize", "join"}));
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"preload", "anonymize", "join"}));
 
   const double phase_ns = static_cast<double>(profile.PhaseWallNsTotal());
   const double slack = std::max(wall_ns * 0.10, 2e6);  // 10% or 2ms

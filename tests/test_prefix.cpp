@@ -105,6 +105,11 @@ struct SpecialCase {
   const char* text;
   SpecialKind expected;
 };
+// Names each case by its text rather than by the struct's bytes, which hold
+// a pointer and padding and would change the discovered test name every run.
+void PrintTo(const SpecialCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.text);
+}
 class SpecialClassify : public ::testing::TestWithParam<SpecialCase> {};
 
 TEST_P(SpecialClassify, Classifies) {

@@ -10,8 +10,8 @@ shared CI runners are min-stable: scheduler preemption and cache
 pollution only ever ADD time, so the minimum of several runs estimates
 the machine's true capability far more robustly than any single run or
 the mean. Passing several CURRENT files takes, per histogram, the
-minimum p50 across runs (the maximum for `*.lane_fill`, where higher is
-better) before diffing against the baseline.
+minimum p50 across runs (the maximum for higher-is-better metrics)
+before diffing against the baseline.
 
 Tolerances come from a noise file (--noise), a JSON object:
 
@@ -19,7 +19,6 @@ Tolerances come from a noise file (--noise), a JSON object:
       "default_tolerance_pct": 25.0,
       "metrics": {
         "core.line_ns":  {"tolerance_pct": 25.0, "gate": true},
-        "hash.lane_fill": {"tolerance_pct": 10.0},
         "scale.lines_per_s": {"tolerance_pct": 30.0,
                               "higher_is_better": true}
       }
@@ -28,7 +27,6 @@ Tolerances come from a noise file (--noise), a JSON object:
 A metric entry may set "higher_is_better": true to invert the regression
 direction (a p50 DROP beyond tolerance regresses, and best-of-runs takes
 the maximum) — throughput metrics like scale.lines_per_s read this way.
-`*.lane_fill` histograms are inverted implicitly for compatibility.
 
 A metric regressing beyond its tolerance emits a GitHub Actions
 annotation. Only metrics marked "gate": true fail the run (exit 1)
@@ -36,14 +34,8 @@ under --fail — everything else stays warn-only, so one noisy histogram
 cannot block CI while the headline metric is still held to a hard gate.
 Without --fail every regression is a warning (local use).
 
-Two special cases for the batched word-hash instrumentation:
-
-  * `*.lane_fill` histograms count lanes per flush, not nanoseconds —
-    HIGHER is better, so the regression direction is inverted (a p50
-    DROP beyond tolerance regresses) and min-of-runs becomes max.
-  * `hash.*`, `io.*`, and `scale.*` counters are diffed in a separate
-    warn-only table; word-hash batching silently turning off
-    (baseline > 0, current == 0) warns.
+`io.*` and `scale.*` counters are diffed in a separate informational
+table that never fails.
 """
 
 import argparse
@@ -59,7 +51,7 @@ def histogram_p50s(doc):
     }
 
 
-INFO_COUNTER_PREFIXES = ("hash.", "io.", "scale.")
+INFO_COUNTER_PREFIXES = ("io.", "scale.")
 
 
 def info_counters(doc):
@@ -71,12 +63,8 @@ def info_counters(doc):
 
 
 def lower_is_better(name, metric_noise):
-    # lane_fill counts live lanes per batch flush (max 4): a drop means
-    # the batcher is flushing emptier, which is the regression direction.
-    # Throughput metrics declare the same inversion in the noise file via
+    # Throughput metrics declare the inversion in the noise file via
     # "higher_is_better": true.
-    if name.endswith(".lane_fill"):
-        return False
     return not metric_noise.get(name, {}).get("higher_is_better", False)
 
 
@@ -131,7 +119,7 @@ def main():
 
     if len(runs) > 1:
         print(f"(best of {len(runs)} runs per metric: min for latencies, "
-              f"max for lane_fill)")
+              f"max for higher-is-better metrics)")
 
     warned, failed = [], []
     print(f"{'histogram':<24} {'baseline p50':>14} {'current p50':>14} "
@@ -159,8 +147,7 @@ def main():
     if only:
         print(f"(not in baseline: {', '.join(only)})")
 
-    # hash.* / io.* / scale.* counters: informational diff, warn-only,
-    # never fails. Only the first current run is shown — counters are
+    # io.* / scale.* counters: informational diff, never fails. Only the first current run is shown — counters are
     # deterministic, so the runs agree.
     base_info = info_counters(baseline)
     with open(args.current[0]) as f:
@@ -172,9 +159,6 @@ def main():
             base = base_info.get(name, 0)
             cur = cur_info.get(name, 0)
             print(f"{name:<24} {base:>14} {cur:>14}")
-            if name.startswith("hash.") and base > 0 and cur == 0:
-                print(f"::warning::bench: {name} dropped to 0 "
-                      f"(was {base}) — word-hash batching disabled?")
 
     for name, base, cur, change, tol in warned:
         print(f"::warning::bench p50 regression: {name} "
