@@ -16,6 +16,7 @@
 // pass-list nothing *leaks more* (hashing is the safe direction) but the
 // fraction of structure destroyed (words hashed) rises.
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -148,8 +149,8 @@ int main() {
   for (double keep : {1.0, 0.75, 0.5, 0.25}) {
     core::AnonymizerOptions options;
     options.salt = "ablate";
-    options.pass_list =
-        passlist::PassList::Builtin().Truncated(keep, 0xAB1A7E);
+    options.pass_list = std::make_shared<const passlist::PassList>(
+        passlist::PassList::SharedBuiltin()->Truncated(keep, 0xAB1A7E));
     core::Anonymizer anonymizer(std::move(options));
     anonymizer.AnonymizeNetwork(pre);
     const auto& report = anonymizer.report();

@@ -20,16 +20,6 @@ namespace {
 
 constexpr std::size_t kNone = ~std::size_t{0};
 
-const passlist::PassList& IosPassList() {
-  static const passlist::PassList list = passlist::PassList::Builtin();
-  return list;
-}
-
-const passlist::PassList& JunosAuditPassList() {
-  static const passlist::PassList list = junos::JunosPassList();
-  return list;
-}
-
 bool IsQuoted(std::string_view text) {
   return text.size() >= 2 && text.front() == '"' && text.back() == '"';
 }
@@ -389,7 +379,7 @@ void IosMiscLineRules(IosLineCtx& ctx) {
 }
 
 void CanonicalizeIos(const config::ConfigFile& file, CanonicalFile& out) {
-  const passlist::PassList& pass_list = IosPassList();
+  const passlist::PassList& pass_list = *passlist::PassList::SharedBuiltin();
 
   const std::vector<config::LineRegion> banners =
       config::FindBannerRegions(file);
@@ -478,7 +468,7 @@ void CanonicalizeIos(const config::ConfigFile& file, CanonicalFile& out) {
 // ---------------------------------------------------------------------------
 
 void CanonicalizeJunos(const config::ConfigFile& file, CanonicalFile& out) {
-  const passlist::PassList& pass_list = JunosAuditPassList();
+  const passlist::PassList& pass_list = *junos::SharedJunosPassList();
 
   bool in_block_comment = false;
   junos::JunosLine line_buf;

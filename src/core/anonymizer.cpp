@@ -99,12 +99,12 @@ Anonymizer::Anonymizer(const ServiceContext& context, const Session& session)
 Anonymizer::Anonymizer(AnonymizerOptions options,
                        std::shared_ptr<NetworkState> state)
     : options_(std::move(options)),
-      pass_list_(options_.pass_list),
+      pass_list_(
+          passlist::WithExtras(options_.pass_list, options_.extra_pass_list)),
       enabled_{},
       shared_state_(state != nullptr),
       state_(shared_state_ ? std::move(state)
                            : std::make_shared<NetworkState>(options_.salt)) {
-  pass_list_.Merge(options_.extra_pass_list);
   const auto on = [&](const char* name) {
     return !options_.disabled_rules.contains(name);
   };
@@ -277,7 +277,7 @@ config::ConfigFile Anonymizer::AnonymizeFile(const config::ConfigFile& file) {
 
   // File names are derived from hostnames; anonymize consistently.
   std::string out_name = file.name();
-  if (!out_name.empty() && !pass_list_.Contains(out_name)) {
+  if (!out_name.empty() && !pass_list_->Contains(out_name)) {
     out_name = state_->hasher.Hash(out_name);
   }
   return config::ConfigFile(out_name, std::move(out_lines));
@@ -781,7 +781,7 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
 
   const auto force_hash = [&](std::size_t i, const char* rule) {
     if (i >= words.size() || handled[i]) return;
-    if (!pass_list_.Contains(words[i])) {
+    if (!pass_list_->Contains(words[i])) {
       leak_record_.hashed_words.insert(std::string(words[i]));
     }
     HashWord(ctx, i);
@@ -991,7 +991,7 @@ void Anonymizer::ApplyTokenRules(LineCtx& ctx) {
     // segment is on the pass-list.
     bool all_passed = true;
     for (const config::Segment& segment : config::SegmentWord(word)) {
-      if (segment.alpha && !pass_list_.Contains(segment.text)) {
+      if (segment.alpha && !pass_list_->Contains(segment.text)) {
         all_passed = false;
         break;
       }

@@ -73,14 +73,19 @@ struct AnonymizerOptions {
   /// (Section 6.1) where an initially incomplete rule set is grown until
   /// the leak detector comes back clean.
   std::set<std::string> disabled_rules;
-  /// The pass-list to consult; defaults to the embedded corpus. The
-  /// coverage ablation passes a Truncated() copy.
-  passlist::PassList pass_list = passlist::PassList::Builtin();
+  /// The IOS pass-list to consult (never null). Defaults to the embedded
+  /// corpus, built once per process and shared: copying the options or
+  /// building an engine borrows the list instead of copying ~2k entries.
+  /// The coverage ablation passes a Truncated() copy.
+  std::shared_ptr<const passlist::PassList> pass_list =
+      passlist::PassList::SharedBuiltin();
   /// Additional entries merged on top of the dialect baseline. Unlike
   /// `pass_list` (which *replaces* the IOS baseline and is ignored by the
   /// JunOS engine), extras apply in every dialect — this is the field the
   /// daemon's per-tenant pass-lists land in, and the one the static
   /// policy verifier (src/verify) checks before a session may be created.
+  /// An engine with extras builds its own merged list; without them it
+  /// borrows the shared baseline.
   passlist::PassList extra_pass_list;
 
   /// Known external entities (paper Section 5): "it might be well known
@@ -210,7 +215,10 @@ class Anonymizer : public AnonymizerEngine {
   }
   ipanon::IpAnonymizer& ip_anonymizer() { return state_->ip; }
   StringHasher& string_hasher() { return state_->hasher; }
-  const passlist::PassList& pass_list() const { return pass_list_; }
+  /// The effective list: the options' pass-list itself when there are no
+  /// extras (so engines of one context share one object), else a merged
+  /// copy.
+  const passlist::PassList& pass_list() const { return *pass_list_; }
 
   /// Collects every non-special IP address literal in `file` (the
   /// operand of rule I7's preload). Exposed so the pipeline can run the
@@ -324,7 +332,7 @@ class Anonymizer : public AnonymizerEngine {
   void RecordAsn(std::uint32_t asn);
 
   AnonymizerOptions options_;
-  passlist::PassList pass_list_;
+  std::shared_ptr<const passlist::PassList> pass_list_;
   EnabledRules enabled_;
   /// Whether state_ was handed in (pipeline worker) rather than owned.
   bool shared_state_ = false;

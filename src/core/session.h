@@ -120,9 +120,7 @@ struct DefenseSummary {
   double overhead = 0.0;
 };
 
-/// The one options struct consumed by ServiceContext. Consolidates the
-/// fields that used to be split (and partially duplicated) across
-/// pipeline::PipelineOptions and pipeline::NetworkSetOptions: engine
+/// The one options struct consumed by ServiceContext: engine
 /// configuration, thread budget, work batching, and dialect routing.
 struct ServiceOptions {
   /// Engine options (salt, regexp form, rule toggles, pass-list, known
@@ -172,7 +170,7 @@ class ServiceContext {
 
   const ServiceOptions& options() const { return options_; }
   const passlist::PassList& pass_list() const {
-    return options_.base.pass_list;
+    return *options_.base.pass_list;
   }
 
   /// Effective worker count for `items` units of work: <= 0 asks the

@@ -49,6 +49,12 @@ passlist::PassList JunosPassList() {
   return list;
 }
 
+const std::shared_ptr<const passlist::PassList>& SharedJunosPassList() {
+  static const std::shared_ptr<const passlist::PassList> list =
+      std::make_shared<const passlist::PassList>(JunosPassList());
+  return list;
+}
+
 JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options)
     : JunosAnonymizer(std::move(options), nullptr) {}
 
@@ -66,13 +72,12 @@ JunosAnonymizer::JunosAnonymizer(const core::ServiceContext& context,
 JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options,
                                  std::shared_ptr<core::NetworkState> state)
     : options_(std::move(options)),
-      pass_list_(JunosPassList()),
+      pass_list_(passlist::WithExtras(SharedJunosPassList(),
+                                      options_.extra_pass_list)),
       shared_state_(state != nullptr),
       state_(shared_state_
                  ? std::move(state)
-                 : std::make_shared<core::NetworkState>(options_.salt)) {
-  pass_list_.Merge(options_.extra_pass_list);
-}
+                 : std::make_shared<core::NetworkState>(options_.salt)) {}
 
 void JunosAnonymizer::CollectFileAddresses(const config::ConfigFile& file,
                                            std::vector<net::Ipv4Address>& out) {
@@ -200,7 +205,7 @@ config::ConfigFile JunosAnonymizer::AnonymizeFile(
   }
 
   std::string out_name = file.name();
-  if (!out_name.empty() && !pass_list_.Contains(out_name)) {
+  if (!out_name.empty() && !pass_list_->Contains(out_name)) {
     out_name = state_->hasher.Hash(out_name);
   }
   return config::ConfigFile(out_name, std::move(out_lines));
@@ -344,7 +349,7 @@ void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
   Token& token = line.tokens[index];
   const std::string_view original = Unquote(token.text);
   if (original.empty()) return;
-  if (!pass_list_.Contains(original)) {
+  if (!pass_list_->Contains(original)) {
     leak_record_.hashed_words.insert(std::string(original));
   }
   HashToken(token);
@@ -558,7 +563,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
     if (value.empty() || config::IsNonAlphabetic(value)) continue;
     bool all_passed = true;
     for (const config::Segment& segment : config::SegmentWord(value)) {
-      if (segment.alpha && !pass_list_.Contains(segment.text)) {
+      if (segment.alpha && !pass_list_->Contains(segment.text)) {
         all_passed = false;
         break;
       }

@@ -58,8 +58,12 @@ class Session;
 
 namespace confanon::junos {
 
-/// The embedded IOS corpus extended with JunOS keywords.
+/// The embedded IOS corpus extended with JunOS keywords, as a fresh copy.
 passlist::PassList JunosPassList();
+
+/// The same list, built once per process and shared read-only: every
+/// JunOS engine without extras borrows it.
+const std::shared_ptr<const passlist::PassList>& SharedJunosPassList();
 
 struct JunosAnonymizerOptions {
   std::string salt = "default-salt";
@@ -146,7 +150,8 @@ class JunosAnonymizer : public core::AnonymizerEngine {
   std::string MapAsnText(std::string_view text);
 
   JunosAnonymizerOptions options_;
-  passlist::PassList pass_list_;
+  /// SharedJunosPassList() itself, or a merged copy when there are extras.
+  std::shared_ptr<const passlist::PassList> pass_list_;
   /// Whether state_ was handed in (pipeline worker / mixed-dialect run)
   /// rather than owned; shared trie counters are then synced centrally.
   bool shared_state_ = false;

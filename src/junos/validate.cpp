@@ -14,7 +14,7 @@ analysis::ValidationResult ValidateJunosNetwork(
   const analysis::NetworkDesign pre_design = ExtractJunosDesign(pre);
   const analysis::NetworkDesign post_design = ExtractJunosDesign(post);
 
-  const passlist::PassList junos_words = JunosPassList();
+  const passlist::PassList& junos_words = *SharedJunosPassList();
   const auto name_map = [&](const std::string& name) -> std::string {
     bool passes = true;
     for (const config::Segment& segment : config::SegmentWord(name)) {

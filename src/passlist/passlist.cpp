@@ -19,6 +19,12 @@ PassList PassList::Builtin() {
   return list;
 }
 
+const std::shared_ptr<const PassList>& PassList::SharedBuiltin() {
+  static const std::shared_ptr<const PassList> list =
+      std::make_shared<const PassList>(Builtin());
+  return list;
+}
+
 void PassList::Add(std::string_view token) {
   if (token.empty()) return;
   std::string lowered = util::ToLower(token);
@@ -49,6 +55,14 @@ PassList PassList::Truncated(double keep_fraction, std::uint64_t seed) const {
     }
   }
   return out;
+}
+
+std::shared_ptr<const PassList> WithExtras(
+    std::shared_ptr<const PassList> base, const PassList& extras) {
+  if (extras.Entries().empty()) return base;
+  auto merged = std::make_shared<PassList>(*base);
+  merged->Merge(extras);
+  return merged;
 }
 
 std::size_t DocScraper::ScrapeText(std::string_view text) {

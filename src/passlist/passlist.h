@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,8 +31,14 @@ class PassList {
  public:
   PassList() = default;
 
-  /// The embedded IOS keyword + reference-vocabulary corpus.
+  /// The embedded IOS keyword + reference-vocabulary corpus, as a fresh
+  /// copy the caller may extend or truncate.
   static PassList Builtin();
+
+  /// The same corpus, built once per process and shared read-only: the
+  /// default core::AnonymizerOptions::pass_list, borrowed by every
+  /// options copy and engine instead of copied.
+  static const std::shared_ptr<const PassList>& SharedBuiltin();
 
   /// Adds one token (lowercased). Non-alphabetic characters are permitted
   /// but callers normally add pure alphabetic tokens, matching what the
@@ -62,6 +69,13 @@ class PassList {
   std::unordered_set<std::string> tokens_;
   std::vector<std::string> entries_;
 };
+
+/// `base` itself when `extras` is empty; otherwise a new list holding
+/// base's entries followed by the extras'. Engines build their
+/// effective list through this, so the common no-extras case borrows
+/// the shared baseline and a tenant's extras never touch it.
+std::shared_ptr<const PassList> WithExtras(
+    std::shared_ptr<const PassList> base, const PassList& extras);
 
 /// Builds pass-list entries by string-scraping documentation, the offline
 /// stand-in for the paper's web-walker. Every maximal ASCII-alphabetic run

@@ -35,10 +35,10 @@ struct EngineWorker {
   std::unique_ptr<core::AnonymizerEngine> junos;
 };
 
-}  // namespace
-
-std::shared_ptr<core::ServiceContext> MakeServiceContext(
-    core::ServiceOptions options) {
+/// MakeServiceContext's body. `verified`, when non-null, is a context
+/// whose verdict this one may take over instead of verifying again.
+std::shared_ptr<core::ServiceContext> BuildContext(
+    core::ServiceOptions options, const core::ServiceContext* verified) {
   auto context = std::make_shared<core::ServiceContext>(std::move(options));
   // core registered the IOS factory; the JunOS engine links against core,
   // so its factory is registered here — the lowest layer that sees it.
@@ -56,12 +56,24 @@ std::shared_ptr<core::ServiceContext> MakeServiceContext(
   // Static policy verification (src/verify) happens here — the lowest
   // layer that links both dialect engines and thus can model the full
   // cross-dialect policy. The verdict makes CreateSession throw
-  // core::PolicyError on a provably leaky policy.
+  // core::PolicyError on a provably leaky policy. A verdict over the
+  // same verifier inputs is the verdict this run would compute.
   if (context->options().verify_policy) {
-    context->SetPolicyVerdict(verify::VerdictOf(
-        verify::VerifyEngineOptions(context->options().base)));
+    const core::AnonymizerOptions& base = context->options().base;
+    context->SetPolicyVerdict(
+        verified != nullptr && verified->policy_verdict().verified &&
+                verify::SamePolicyInputs(base, verified->options().base)
+            ? verified->policy_verdict()
+            : verify::VerdictOf(verify::VerifyEngineOptions(base)));
   }
   return context;
+}
+
+}  // namespace
+
+std::shared_ptr<core::ServiceContext> MakeServiceContext(
+    core::ServiceOptions options) {
+  return BuildContext(std::move(options), nullptr);
 }
 
 CorpusPipeline::CorpusPipeline(
@@ -331,7 +343,7 @@ std::vector<NetworkOutput> AnonymizeNetworkSet(
         const std::size_t i = order[rank];
         core::ServiceOptions options = tasks[i].options;
         if (options.threads <= 0) options.threads = inner_share(i);
-        auto task_context = MakeServiceContext(std::move(options));
+        auto task_context = BuildContext(std::move(options), &set_context);
         task_context->install_hooks(set_context.hooks());
         CorpusPipeline pipe(task_context, task_context->CreateSession());
         out[i].files = pipe.AnonymizeCorpus(tasks[i].files);
@@ -342,20 +354,6 @@ std::vector<NetworkOutput> AnonymizeNetworkSet(
     }
   });
   return out;
-}
-
-std::vector<NetworkOutput> AnonymizeNetworkSet(
-    const std::vector<NetworkTask>& tasks,
-    const NetworkSetOptions& set_options) {
-  core::ServiceOptions options;
-  options.threads = set_options.threads;
-  core::ServiceContext set_context(std::move(options));
-  obs::Hooks hooks;
-  hooks.metrics = set_options.metrics;
-  hooks.trace = set_options.trace;
-  hooks.profiler = set_options.profiler;
-  set_context.install_hooks(hooks);
-  return AnonymizeNetworkSet(tasks, set_context);
 }
 
 }  // namespace confanon::pipeline

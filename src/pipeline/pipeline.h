@@ -62,10 +62,9 @@ inline FileDialect DetectDialect(const config::ConfigFile& file) {
 }
 
 /// DEPRECATED alias: the consolidated options struct consumed by
-/// core::ServiceContext is core::ServiceOptions — one struct for the
-/// fields previously duplicated between PipelineOptions and
-/// NetworkSetOptions (threads, dialect routing, engine options). Kept
-/// for one release; new code should spell core::ServiceOptions.
+/// core::ServiceContext is core::ServiceOptions (threads, dialect
+/// routing, engine options). Kept for one release; new code should
+/// spell core::ServiceOptions.
 using PipelineOptions = core::ServiceOptions;
 
 /// Builds a ServiceContext with BOTH built-in dialect engine factories
@@ -186,6 +185,15 @@ class CorpusPipeline {
 // output is deterministic (the per-network guarantee composes — nothing
 // is shared between networks), so the set output is byte-identical for
 // any thread count.
+//
+// Fixed cost is paid once per set, not once per network. A network
+// whose policy inputs (verify::SamePolicyInputs: IOS pass-list entries,
+// extras, disabled rules) equal the set context's takes over the set
+// context's verdict instead of verifying the same policy again; any
+// other network is verified on its own. Either way every session is
+// gated on a verdict of the verifier, so a leaky policy makes the set
+// throw core::PolicyError. Engines borrow the builtin pass-lists, which
+// are built once per process.
 
 /// One network's corpus plus its pipeline configuration. A task whose
 /// options.threads is 0 receives its share of the set's budget;
@@ -205,36 +213,16 @@ struct NetworkOutput {
   core::DefenseSummary defense;
 };
 
-/// DEPRECATED: the thread budget and the observability pointers both
-/// moved into core::ServiceContext (options().threads and hooks());
-/// kept for one release as a forwarder into the context overload.
-struct NetworkSetOptions {
-  /// Total worker-thread budget shared by all networks. 0 picks
-  /// std::thread::hardware_concurrency().
-  int threads = 0;
-  /// Optional registry shared by every network's pipeline (thread-safe;
-  /// counter totals are order-independent).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Optional span sink shared by every network's pipeline (must be
-  /// thread-safe, like JsonlTraceSink or PhaseProfiler).
-  obs::TraceSink* trace = nullptr;
-  /// Optional phase profiler; every pipeline brackets its phases on it.
-  /// Phase windows are re-entrant, so concurrent networks in the same
-  /// phase count overlapping wall time once.
-  obs::PhaseProfiler* profiler = nullptr;
-};
-
 /// Anonymizes several independent networks concurrently over
-/// `set_context`'s thread budget (options().threads) and hooks. Output i
-/// corresponds to tasks[i]. The first worker exception is rethrown on
-/// the calling thread.
+/// `set_context`'s thread budget (options().threads) and hooks. Build
+/// the set context with MakeServiceContext, so that its verdict can
+/// stand for every task with the same policy inputs (a context built
+/// directly carries no verdict, and each task then verifies its own).
+/// Output i corresponds to tasks[i]. The first worker exception — a
+/// core::PolicyError for a task whose verdict gates its session — is
+/// rethrown on the calling thread.
 std::vector<NetworkOutput> AnonymizeNetworkSet(
     const std::vector<NetworkTask>& tasks,
     const core::ServiceContext& set_context);
-
-/// DEPRECATED thin forwarder into the ServiceContext overload.
-std::vector<NetworkOutput> AnonymizeNetworkSet(
-    const std::vector<NetworkTask>& tasks,
-    const NetworkSetOptions& set_options = {});
 
 }  // namespace confanon::pipeline

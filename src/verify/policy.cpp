@@ -20,8 +20,8 @@ void AppendEntries(const std::vector<std::string>& tokens, std::size_t from,
 /// corpus's load order — the part of a custom pass-list that is really
 /// just the baseline it was built from.
 std::size_t BuiltinPrefixLength(const std::vector<std::string>& tokens) {
-  static const std::vector<std::string> builtin =
-      passlist::PassList::Builtin().Entries();
+  const std::vector<std::string>& builtin =
+      passlist::PassList::SharedBuiltin()->Entries();
   std::size_t n = 0;
   while (n < tokens.size() && n < builtin.size() &&
          tokens[n] == builtin[n]) {
@@ -37,7 +37,7 @@ DialectPolicy IosPolicy(const core::AnonymizerOptions& options) {
   DialectPolicy policy;
   policy.dialect = Dialect::kIos;
   policy.disabled_rules = options.disabled_rules;
-  const std::vector<std::string>& tokens = options.pass_list.Entries();
+  const std::vector<std::string>& tokens = options.pass_list->Entries();
   policy.baseline_count = BuiltinPrefixLength(tokens);
   AppendEntries(tokens, 0, kOriginBuiltin, policy);
   for (std::size_t i = policy.baseline_count; i < policy.entries.size();
@@ -52,9 +52,9 @@ DialectPolicy JunosPolicy(const core::AnonymizerOptions& options) {
   DialectPolicy policy;
   policy.dialect = Dialect::kJunos;
   // The JunOS engine ignores options.pass_list and disabled_rules; its
-  // effective list is always JunosPassList() plus the extras.
-  static const std::vector<std::string> baseline =
-      junos::JunosPassList().Entries();
+  // effective list is always the shared JunOS list plus the extras.
+  const std::vector<std::string>& baseline =
+      junos::SharedJunosPassList()->Entries();
   policy.baseline_count = baseline.size();
   AppendEntries(baseline, 0, kOriginJunosBuiltin, policy);
   AppendEntries(options.extra_pass_list.Entries(), 0, kOriginExtra, policy);
@@ -76,6 +76,14 @@ PolicySpec PolicyFromOptions(const core::AnonymizerOptions& options) {
   spec.dialects.push_back(IosPolicy(options));
   spec.dialects.push_back(JunosPolicy(options));
   return spec;
+}
+
+bool SamePolicyInputs(const core::AnonymizerOptions& a,
+                      const core::AnonymizerOptions& b) {
+  return (a.pass_list == b.pass_list ||
+          a.pass_list->Entries() == b.pass_list->Entries()) &&
+         a.extra_pass_list.Entries() == b.extra_pass_list.Entries() &&
+         a.disabled_rules == b.disabled_rules;
 }
 
 }  // namespace confanon::verify

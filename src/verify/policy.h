@@ -79,4 +79,12 @@ PolicySpec BuiltinPolicy();
 /// core::Anonymizer and junos::JunosAnonymizer consume the options.
 PolicySpec PolicyFromOptions(const core::AnonymizerOptions& options);
 
+/// True when PolicyFromOptions reads the same inputs from `a` and `b`:
+/// equal IOS pass-list entries, equal extra entries and equal disabled
+/// rules, so both model one policy and one verdict holds for both. Lets
+/// pipeline::AnonymizeNetworkSet reuse the set context's verdict for a
+/// network instead of verifying the same policy again.
+bool SamePolicyInputs(const core::AnonymizerOptions& a,
+                      const core::AnonymizerOptions& b);
+
 }  // namespace confanon::verify

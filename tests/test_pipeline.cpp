@@ -52,6 +52,13 @@ std::vector<config::ConfigFile> JunosCorpus(std::uint64_t seed, int routers) {
       gen::GenerateNetwork(params, static_cast<int>(seed)));
 }
 
+/// A verified set context with a thread budget of `threads`.
+std::shared_ptr<core::ServiceContext> SetContext(int threads) {
+  core::ServiceOptions options;
+  options.threads = threads;
+  return pipeline::MakeServiceContext(std::move(options));
+}
+
 /// Interleaves an IOS and a JunOS network file-by-file.
 std::vector<config::ConfigFile> MixedCorpus(std::uint64_t seed) {
   const auto ios = IosCorpus(seed, 10);
@@ -204,9 +211,9 @@ TEST_P(PipelineDeterminism, NetworkSetByteIdenticalAcrossThreads) {
     return tasks;
   };
   const auto tasks = build_tasks();
-  const auto baseline = pipeline::AnonymizeNetworkSet(tasks, {.threads = 1});
+  const auto baseline = pipeline::AnonymizeNetworkSet(tasks, *SetContext(1));
   const auto parallel =
-      pipeline::AnonymizeNetworkSet(tasks, {.threads = GetParam()});
+      pipeline::AnonymizeNetworkSet(tasks, *SetContext(GetParam()));
   ASSERT_EQ(baseline.size(), tasks.size());
   ASSERT_EQ(parallel.size(), tasks.size());
   for (std::size_t n = 0; n < tasks.size(); ++n) {
@@ -225,7 +232,7 @@ TEST(AnonymizeNetworkSet, MatchesStandalonePipelines) {
   tasks[1].options.base.salt = "solo-b";
   tasks[1].files = JunosCorpus(52, 5);
 
-  const auto results = pipeline::AnonymizeNetworkSet(tasks, {.threads = 4});
+  const auto results = pipeline::AnonymizeNetworkSet(tasks, *SetContext(4));
 
   for (std::size_t n = 0; n < tasks.size(); ++n) {
     pipeline::CorpusPipeline solo(tasks[n].options);

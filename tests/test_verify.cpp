@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "config/document.h"
 #include "core/anonymizer.h"
 #include "core/session.h"
+#include "junos/anonymizer.h"
+#include "passlist/passlist.h"
 #include "pipeline/pipeline.h"
 #include "verify/policy.h"
 #include "verify/recognizer.h"
@@ -194,13 +197,37 @@ TEST(VerifyPolicy, CrossDialectConflictReported) {
   // Replacing the IOS pass-list outright (not extending it) leaves the
   // JunOS engine — which ignores options.pass_list — without the custom
   // token: passed in IOS, hashed in JunOS.
+  auto custom = std::make_shared<passlist::PassList>(
+      passlist::PassList::Builtin());
+  custom->Add("zephyrix");
   core::AnonymizerOptions options;
-  options.pass_list.Add("zephyrix");
+  options.pass_list = std::move(custom);
   const AuditResult result = verify::VerifyEngineOptions(options);
   const auto findings = FindAll(result, "VER-004");
   ASSERT_EQ(findings.size(), 1u) << result.ToText();
   EXPECT_NE(findings.front()->message.find("zephyrix"), std::string::npos);
   EXPECT_NE(findings.front()->message.find("junos"), std::string::npos);
+}
+
+TEST(VerifyPolicy, SamePolicyInputsTracksWhatTheVerifierReads) {
+  const core::AnonymizerOptions builtin;
+  // Salt and rendering options are not verifier inputs, and an equal
+  // copy of the builtin list is the same policy as the shared one.
+  core::AnonymizerOptions other_salt;
+  other_salt.salt = "other";
+  other_salt.strip_comments = false;
+  other_salt.pass_list = std::make_shared<const passlist::PassList>(
+      passlist::PassList::Builtin());
+  EXPECT_TRUE(verify::SamePolicyInputs(builtin, other_salt));
+
+  EXPECT_FALSE(verify::SamePolicyInputs(builtin, WithExtra("zephyrix")));
+  core::AnonymizerOptions disabled;
+  disabled.disabled_rules.insert(core::rules::kSnmpStrings);
+  EXPECT_FALSE(verify::SamePolicyInputs(builtin, disabled));
+  core::AnonymizerOptions truncated;
+  truncated.pass_list = std::make_shared<const passlist::PassList>(
+      passlist::PassList::Builtin().Truncated(0.5, 7));
+  EXPECT_FALSE(verify::SamePolicyInputs(builtin, truncated));
 }
 
 // --- taint closure over the disable surface ----------------------------
@@ -335,6 +362,112 @@ TEST(PolicyGate, SessionExtrasAreImmutableAfterFirstRequest) {
   passlist::PassList late;
   late.Add("quorvane");
   EXPECT_THROW(session->SetExtraPassList(std::move(late)), std::logic_error);
+}
+
+// --- the gate in a network set ------------------------------------------
+
+/// One single-file network per salt, each task carrying `options`.
+std::vector<pipeline::NetworkTask> NetworkTasks(
+    const core::ServiceOptions& options, std::size_t count) {
+  std::vector<pipeline::NetworkTask> tasks(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    tasks[i].options = options;
+    tasks[i].options.base.salt = "net-" + std::to_string(i);
+    tasks[i].files = {config::ConfigFile("r1", {"hostname r1"})};
+  }
+  return tasks;
+}
+
+TEST(PolicyGate, LeakySetPolicyMakesNetworkSetThrow) {
+  // The tasks carry the set's policy, so they take over its VER-001
+  // verdict instead of verifying again — and are gated on it.
+  core::ServiceOptions leaky;
+  leaky.base.extra_pass_list.Add("10.0.0.1");
+  const auto set_context = pipeline::MakeServiceContext(leaky);
+  ASSERT_GT(set_context->policy_verdict().errors, 0u);
+  try {
+    (void)pipeline::AnonymizeNetworkSet(NetworkTasks(leaky, 3), *set_context);
+    ADD_FAILURE() << "a leaky network set ran";
+  } catch (const core::PolicyError& error) {
+    EXPECT_NE(std::string(error.what()).find("VER-001"), std::string::npos);
+  }
+}
+
+TEST(PolicyGate, LeakyTaskInCleanSetThrows) {
+  // A task whose policy differs from the set's is verified on its own.
+  const auto set_context = pipeline::MakeServiceContext({});
+  auto tasks = NetworkTasks({}, 3);
+  tasks[1].options.base.extra_pass_list.Add("10.0.0.1");
+  EXPECT_THROW((void)pipeline::AnonymizeNetworkSet(tasks, *set_context),
+               core::PolicyError);
+}
+
+TEST(PolicyGate, NetworkSetTakesOverTheSetVerdict) {
+  // Recording an error verdict on a clean set context shows which
+  // verdict gates each task: a task with the set's policy inputs gets
+  // the set's verdict, a task with other inputs gets its own.
+  const auto set_context = pipeline::MakeServiceContext({});
+  core::PolicyVerdict recorded;
+  recorded.verified = true;
+  recorded.errors = 1;
+  recorded.first_finding = "VER-001 recorded on the set context";
+  set_context->SetPolicyVerdict(recorded);
+  EXPECT_THROW((void)pipeline::AnonymizeNetworkSet(NetworkTasks({}, 2),
+                                                   *set_context),
+               core::PolicyError);
+
+  core::ServiceOptions own_policy;
+  own_policy.base.extra_pass_list.Add("zephyrix");
+  const auto out =
+      pipeline::AnonymizeNetworkSet(NetworkTasks(own_policy, 2), *set_context);
+  EXPECT_EQ(out.size(), 2u);
+}
+
+// --- builtin pass-lists shared process-wide -----------------------------
+
+TEST(SharedPassList, EnginesWithoutExtrasBorrowOneList) {
+  const auto context = pipeline::MakeServiceContext({});
+  const auto first = context->MakeEngine(core::ConfigDialect::kIos,
+                                         *context->CreateSession("a"));
+  const auto second = context->MakeEngine(core::ConfigDialect::kIos,
+                                          *context->CreateSession("b"));
+  const auto& a = dynamic_cast<const core::Anonymizer&>(*first);
+  const auto& b = dynamic_cast<const core::Anonymizer&>(*second);
+  EXPECT_EQ(&a.pass_list(), &b.pass_list());
+  EXPECT_EQ(&a.pass_list(), passlist::PassList::SharedBuiltin().get());
+}
+
+TEST(SharedPassList, TenantExtrasStayInTheirSession) {
+  // Two tenants on one context; only one installs `zephyrix`. Its
+  // engines are built first, so an extras merge that wrote into the
+  // shared builtin lists would show up in the other tenant's output.
+  const auto context = pipeline::MakeServiceContext({});
+  const auto with_extras = context->CreateSession("tenant-a");
+  const auto plain = context->CreateSession("tenant-b");
+  passlist::PassList extras;
+  extras.Add("zephyrix");
+  with_extras->SetExtraPassList(std::move(extras));
+
+  const config::ConfigFile ios("r1", {"interface zephyrix"});
+  const config::ConfigFile junos(
+      "r2", {"interfaces {", "    zephyrix {", "    }", "}"});
+  const auto anonymize = [&](const core::Session& session) {
+    std::string text =
+        context->MakeEngine(core::ConfigDialect::kIos, session)
+            ->AnonymizeFile(ios)
+            .ToText();
+    text += context->MakeEngine(core::ConfigDialect::kJunos, session)
+                ->AnonymizeFile(junos)
+                .ToText();
+    return text;
+  };
+  const std::string passed = anonymize(*with_extras);
+  const std::string hashed = anonymize(*plain);
+  EXPECT_NE(passed.find("interface zephyrix"), std::string::npos) << passed;
+  EXPECT_NE(passed.find("    zephyrix {"), std::string::npos) << passed;
+  EXPECT_EQ(hashed.find("zephyrix"), std::string::npos) << hashed;
+  EXPECT_FALSE(passlist::PassList::SharedBuiltin()->Contains("zephyrix"));
+  EXPECT_FALSE(junos::SharedJunosPassList()->Contains("zephyrix"));
 }
 
 }  // namespace
