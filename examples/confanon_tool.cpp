@@ -119,7 +119,7 @@ confanon::config::ConfigFile ReadConfig(const std::filesystem::path& path,
 int main(int argc, char** argv) {
   using namespace confanon;
 
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt.clear();
   options.threads = 0;  // all cores; byte-identical regardless
   std::string out_dir;
@@ -159,9 +159,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--check-leaks") {
       check_leaks = true;
     } else if (arg == "--junos") {
-      options.dialect = pipeline::FileDialect::kJunos;
+      options.dialect = core::ConfigDialect::kJunos;
     } else if (arg == "--ios") {
-      options.dialect = pipeline::FileDialect::kIos;
+      options.dialect = core::ConfigDialect::kIos;
     } else if (arg == "--entities") {
       entities_in = next();
     } else if (arg == "--entities-out") {

@@ -6,12 +6,16 @@
 //   gen_corpus OUTDIR [--routers N] [--seed S] [--ios|--junos|--mixed]
 //
 // One network is generated deterministically from the seed; each router's
-// config lands in OUTDIR as <hostname>.cfg. --mixed alternates dialects
-// per router (even index IOS, odd JunOS) to exercise auto-detection.
+// config lands in OUTDIR as <hostname>.cfg, or as <hostname>-<index>.cfg
+// when an earlier router of the run already took that hostname (large
+// networks repeat names), so every router gets its own file. --mixed
+// alternates dialects per router (even index IOS, odd JunOS) to exercise
+// auto-detection.
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <set>
 #include <string>
 
 #include "config/document.h"
@@ -86,6 +90,7 @@ int main(int argc, char** argv) {
   }
 
   std::size_t written = 0;
+  std::set<std::string> taken;  // file stems written so far
   confanon::util::BufferedWriter out;  // one buffer reused across configs
   for (std::size_t i = 0; i < network.routers.size(); ++i) {
     const bool junos =
@@ -93,8 +98,12 @@ int main(int argc, char** argv) {
     const confanon::config::ConfigFile file =
         junos ? confanon::junos::WriteJunosConfig(network.routers[i], network)
               : confanon::gen::WriteConfig(network.routers[i], network);
-    const auto path =
-        std::filesystem::path(out_dir) / (file.name() + ".cfg");
+    std::string stem = file.name();
+    if (!taken.insert(stem).second) {
+      stem += "-" + std::to_string(i);
+      taken.insert(stem);
+    }
+    const auto path = std::filesystem::path(out_dir) / (stem + ".cfg");
     std::string error;
     if (!out.Open(path.string(), &error)) {
       std::cerr << "gen_corpus: " << error << "\n";

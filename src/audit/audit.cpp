@@ -13,9 +13,9 @@
 #include "audit/canonical.h"
 #include "audit/lint.h"
 #include "audit/refgraph.h"
+#include "core/session.h"
 #include "obs/profiler.h"
 #include "pipeline/parallel_for.h"
-#include "pipeline/pipeline.h"
 
 namespace confanon::audit {
 
@@ -32,7 +32,7 @@ Dialect ResolveDialect(const config::ConfigFile& file, DialectMode mode) {
     case DialectMode::kAuto:
       break;
   }
-  return pipeline::DetectDialect(file) == pipeline::FileDialect::kJunos
+  return core::DetectDialect(file) == core::ConfigDialect::kJunos
              ? Dialect::kJunos
              : Dialect::kIos;
 }

@@ -1,8 +1,6 @@
 #include "core/anonymizer.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
 
 #include "config/tokenizer.h"
 #include "core/session.h"
@@ -63,6 +61,15 @@ std::string PseudoDigits(std::string_view salt, std::string_view original) {
   return out;
 }
 
+constexpr DialectTraits kIosTraits{
+    .metric_prefix = "",
+    .timing_prefix = "core.",
+    .network_span = "anonymize-network",
+    .preload_span = "preload.I7",
+    .preload_rule = rules::kSubnetPreload,
+    .collect_addresses = &Anonymizer::CollectFileAddresses,
+};
+
 }  // namespace
 
 void Anonymizer::LineCtx::SetWordRef(std::size_t i, std::string_view stable) {
@@ -98,13 +105,12 @@ Anonymizer::Anonymizer(const ServiceContext& context, const Session& session)
 
 Anonymizer::Anonymizer(AnonymizerOptions options,
                        std::shared_ptr<NetworkState> state)
-    : options_(std::move(options)),
-      pass_list_(
-          passlist::WithExtras(options_.pass_list, options_.extra_pass_list)),
-      enabled_{},
-      shared_state_(state != nullptr),
-      state_(shared_state_ ? std::move(state)
-                           : std::make_shared<NetworkState>(options_.salt)) {
+    : AnonymizerEngine(
+          kIosTraits, options.salt, options.pass_list, options.extra_pass_list,
+          std::move(state),
+          !options.disabled_rules.contains(rules::kSubnetPreload)),
+      options_(std::move(options)),
+      enabled_{} {
   const auto on = [&](const char* name) {
     return !options_.disabled_rules.contains(name);
   };
@@ -135,7 +141,6 @@ Anonymizer::Anonymizer(AnonymizerOptions options,
   enabled_.address_mask_pairs = on(rules::kAddressMaskPairs);
   enabled_.address_wildcard_pairs = on(rules::kAddressWildcardPairs);
   enabled_.plain_address_args = on(rules::kPlainAddressArgs);
-  enabled_.subnet_preload = on(rules::kSubnetPreload);
 }
 
 void Anonymizer::CollectFileAddresses(const config::ConfigFile& file,
@@ -169,151 +174,38 @@ void Anonymizer::CollectHashCandidates(const config::ConfigFile& file,
   }
 }
 
-std::vector<config::ConfigFile> Anonymizer::AnonymizeNetwork(
-    const std::vector<config::ConfigFile>& files) {
-  obs::ScopedTimer network_span(&tracer_, "anonymize-network");
-  network_span.AddArg("files", static_cast<std::int64_t>(files.size()));
-  network_span.AddArg("phase", "anonymize");
-  // Rule I7: preload the whole corpus's addresses in sorted order so the
-  // subnet-address-preservation property holds network-wide.
-  if (enabled_.subnet_preload &&
-      !state_->preloaded.load(std::memory_order_acquire)) {
-    obs::ScopedTimer preload_span(&tracer_, "preload.I7");
-    preload_span.AddArg("phase", "preload");
-    std::vector<net::Ipv4Address> addresses;
-    for (const config::ConfigFile& file : files) {
-      CollectFileAddresses(file, addresses);
+void Anonymizer::BeginFile(const config::ConfigFile& file) {
+  in_banner_.assign(file.lines().size(), false);
+  banner_start_.assign(file.lines().size(), false);
+  if (!options_.strip_comments || !enabled_.strip_banners) return;
+  for (const config::LineRegion& region : FindBannerRegions(file)) {
+    for (std::size_t i = region.begin; i < region.end; ++i) {
+      in_banner_[i] = true;
     }
-    preload_span.AddArg("addresses",
-                        static_cast<std::int64_t>(addresses.size()));
-    report_.CountRule(rules::kSubnetPreload, addresses.size());
-    state_->ip.Preload(std::move(addresses));
-    state_->preloaded.store(true, std::memory_order_release);
+    banner_start_[region.begin] = true;
   }
-  std::vector<config::ConfigFile> out;
-  out.reserve(files.size());
-  for (const config::ConfigFile& file : files) {
-    out.push_back(AnonymizeFile(file));
-  }
-  SyncMetrics();
-  return out;
-}
-
-config::ConfigFile Anonymizer::AnonymizeFile(const config::ConfigFile& file) {
-  // Standalone streaming use (no corpus-wide pass ran): preload this
-  // file's own addresses so rule I7's subnet-address guarantee holds at
-  // least file-locally. Within AnonymizeNetwork or the pipeline the
-  // corpus preload already ran and this is skipped.
-  if (enabled_.subnet_preload &&
-      !state_->preloaded.load(std::memory_order_acquire)) {
-    std::vector<net::Ipv4Address> addresses;
-    CollectFileAddresses(file, addresses);
-    report_.CountRule(rules::kSubnetPreload, addresses.size());
-    state_->ip.Preload(std::move(addresses));
-  }
-
-  const std::vector<config::LineRegion> banners = FindBannerRegions(file);
-  std::vector<bool> in_banner(file.lines().size(), false);
-  std::vector<bool> banner_start(file.lines().size(), false);
-  if (options_.strip_comments && enabled_.strip_banners) {
-    for (const config::LineRegion& region : banners) {
-      for (std::size_t i = region.begin; i < region.end; ++i) {
-        in_banner[i] = true;
-      }
-      banner_start[region.begin] = true;
-    }
-  }
-
-  std::vector<std::string> out_lines;
-  out_lines.reserve(file.lines().size());
-
-  const bool observing =
-      tracer_.enabled() || provenance_ != nullptr || metrics_ != nullptr;
-  const std::int64_t file_start_us = tracer_.enabled() ? tracer_.NowUs() : 0;
-  const auto file_start = std::chrono::steady_clock::now();
-  // Per-rule processing time for this file (traced runs only): the cost
-  // of each line is attributed to the rules that fired on it.
-  std::map<std::string, std::uint64_t> rule_ns;
-
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    if (observing) {
-      ObserveLine(file, index, in_banner, banner_start, out_lines, rule_ns);
-    } else {
-      AnonymizeLine(file, index, in_banner, banner_start, out_lines);
-    }
-  }
-  // Every line has been rendered into an owned output string; no
-  // arena-backed view survives past this point.
-  arena_.Reset();
-
-  if (observing) {
-    const std::int64_t file_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - file_start)
-            .count();
-    if (file_hist_ != nullptr) {
-      file_hist_->Record(static_cast<std::uint64_t>(file_ns));
-    }
-    if (tracer_.enabled()) {
-      const std::int64_t file_end_us =
-          file_start_us + std::max<std::int64_t>(file_ns / 1000, 1);
-      // Per-rule spans, laid end-to-end inside the file span so viewers
-      // nest them under it (timestamp containment). Positions within the
-      // file are synthetic; durations are the measured aggregates.
-      std::int64_t cursor = file_start_us;
-      for (const auto& [rule, ns] : rule_ns) {
-        std::int64_t duration = std::max<std::int64_t>(
-            static_cast<std::int64_t>(ns) / 1000, 1);
-        duration = std::min(duration,
-                            std::max<std::int64_t>(file_end_us - cursor, 1));
-        tracer_.Complete("rule:" + rule, cursor, duration, "anonymize");
-        cursor = std::min(cursor + duration, file_end_us - 1);
-      }
-      tracer_.Complete("file:" + file.name(), file_start_us,
-                       file_end_us - file_start_us, "anonymize");
-    }
-    SyncMetrics();
-  }
-
-  // File names are derived from hostnames; anonymize consistently.
-  std::string out_name = file.name();
-  if (!out_name.empty() && !pass_list_->Contains(out_name)) {
-    out_name = state_->hasher.Hash(out_name);
-  }
-  return config::ConfigFile(out_name, std::move(out_lines));
 }
 
 void Anonymizer::AnonymizeLine(const config::ConfigFile& file,
                                std::size_t index,
-                               const std::vector<bool>& in_banner,
-                               const std::vector<bool>& banner_start,
                                std::vector<std::string>& out_lines) {
   const std::string_view raw = file.lines()[index];
   ++report_.total_lines;
   LineCtx& ctx = line_ctx_;
   ctx.arena = &arena_;
-  if (tokenize_hist_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    config::TokenizeLineInto(raw, ctx.tokens);
-    tokenize_hist_->Record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  } else {
-    config::TokenizeLineInto(raw, ctx.tokens);
-  }
+  TimedTokenize([&] { config::TokenizeLineInto(raw, ctx.tokens); });
   report_.total_words += ctx.tokens.words.size();
 
-  if (in_banner[index]) {
+  if (in_banner_[index]) {
     // Rule C3: the whole banner block is a comment; drop it, leaving a
     // bare '!' where it started so the block boundary stays visible.
     report_.comment_words_removed += ctx.tokens.words.size();
     report_.CountRule(rules::kStripBanners);
-    if (banner_start[index]) out_lines.push_back("!");
+    if (banner_start_[index]) out_lines.push_back("!");
     return;
   }
 
-  if (!ApplyCommentRules(file, index, raw, in_banner)) {
+  if (!ApplyCommentRules(raw)) {
     // Line fully handled as a comment.
     const config::SplitLine split = config::SplitConfigLine(raw);
     report_.comment_words_removed +=
@@ -348,129 +240,7 @@ void Anonymizer::ApplyWordPasses(LineCtx& ctx) {
   ApplyTokenRules(ctx);
 }
 
-void Anonymizer::ObserveLine(const config::ConfigFile& file, std::size_t index,
-                             const std::vector<bool>& in_banner,
-                             const std::vector<bool>& banner_start,
-                             std::vector<std::string>& out_lines,
-                             std::map<std::string, std::uint64_t>& rule_ns) {
-  const std::uint64_t words_before = report_.total_words;
-  const std::size_t out_count = out_lines.size();
-  const std::map<std::string, std::uint64_t> fires_before = report_.rule_fires;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  AnonymizeLine(file, index, in_banner, banner_start, out_lines);
-
-  const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  if (line_hist_ != nullptr) line_hist_->Record(elapsed_ns);
-
-  const auto tokens_before =
-      static_cast<std::uint32_t>(report_.total_words - words_before);
-  const auto tokens_after = static_cast<std::uint32_t>(
-      out_lines.size() > out_count ? util::SplitWords(out_lines.back()).size()
-                                   : 0);
-
-  // Rules whose fire count advanced during this line.
-  std::vector<const std::string*> fired;
-  for (const auto& [name, count] : report_.rule_fires) {
-    const auto before = fires_before.find(name);
-    if (before == fires_before.end() || before->second != count) {
-      fired.push_back(&name);
-    }
-  }
-  if (fired.empty()) return;
-  const std::uint64_t share = elapsed_ns / fired.size();
-  for (const std::string* rule : fired) {
-    if (tracer_.enabled()) rule_ns[*rule] += share;
-    if (provenance_ != nullptr) {
-      provenance_->Record(obs::ProvenanceEntry{
-          file.name(), static_cast<std::uint64_t>(index), *rule,
-          tokens_before, tokens_after});
-    }
-  }
-}
-
-void Anonymizer::install_hooks(const obs::Hooks& hooks) {
-  hooks_ = hooks;
-  ApplyHooks();
-}
-
-void Anonymizer::ApplyHooks() {
-  tracer_.set_sink(hooks_.trace);
-  provenance_ = hooks_.provenance;
-  metrics_ = hooks_.metrics;
-  // Resolve every instrument eagerly (including the memo-hit counter, so
-  // it appears in snapshots even before the first hit) and touch only
-  // atomics on the hot paths.
-  line_hist_ = metrics_ != nullptr ? &metrics_->HistogramNamed("core.line_ns")
-                                   : nullptr;
-  file_hist_ = metrics_ != nullptr ? &metrics_->HistogramNamed("core.file_ns")
-                                   : nullptr;
-  tokenize_hist_ = metrics_ != nullptr
-                       ? &metrics_->HistogramNamed("core.tokenize_ns")
-                       : nullptr;
-  rewrite_hist_ = metrics_ != nullptr
-                      ? &metrics_->HistogramNamed("asn.rewrite_ns")
-                      : nullptr;
-  dfa_states_total_ =
-      metrics_ != nullptr ? &metrics_->CounterNamed("asn.rewrite_dfa_states")
-                          : nullptr;
-  rewrite_memo_hits_ =
-      metrics_ != nullptr ? &metrics_->CounterNamed("asn.rewrite_memo_hits")
-                          : nullptr;
-}
-
-void Anonymizer::RecordRewrite(const asn::RewriteResult& result) {
-  if (result.memo_hit) {
-    // The rewrite was served from the LRU memo: no NFA/DFA work happened,
-    // so neither the latency histogram nor the DFA-state total moves.
-    if (rewrite_memo_hits_ != nullptr) rewrite_memo_hits_->Add(1);
-    return;
-  }
-  if (rewrite_hist_ != nullptr) rewrite_hist_->Record(result.elapsed_ns);
-  if (dfa_states_total_ != nullptr) {
-    dfa_states_total_->Add(result.dfa_states);
-  }
-}
-
-void Anonymizer::SyncMetrics() {
-  if (metrics_ == nullptr) return;
-  SyncReportDeltas(report_, synced_report_, *metrics_, "");
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      metrics_->CounterNamed(name).Add(current - base);
-      base = current;
-    }
-  };
-  // The arena is engine-local (one per worker), so its counters sync
-  // here even under a shared NetworkState.
-  sync("arena.bytes", arena_.bytes_allocated(), synced_arena_bytes_);
-  sync("arena.resets", arena_.resets(), synced_arena_resets_);
-  if (shared_state_) {
-    // The trie/hasher belong to the pipeline's shared NetworkState;
-    // per-worker delta syncs would double count, so the pipeline syncs
-    // those centrally at join.
-    return;
-  }
-  const ipanon::IpAnonymizer::Stats ip_stats = state_->ip.stats();
-  sync("ipanon.cache_hits", ip_stats.cache_hits, synced_ip_.cache_hits);
-  sync("ipanon.cache_misses", ip_stats.cache_misses, synced_ip_.cache_misses);
-  sync("ipanon.collision_walks", ip_stats.collision_walks,
-       synced_ip_.collision_walks);
-  sync("ipanon.preloaded_addresses", ip_stats.preloaded, synced_ip_.preloaded);
-  metrics_->GaugeNamed("ipanon.trie_nodes")
-      .Set(static_cast<std::int64_t>(state_->ip.NodeCount()));
-}
-
-bool Anonymizer::ApplyCommentRules(const config::ConfigFile& file,
-                                   std::size_t index, std::string_view line,
-                                   const std::vector<bool>& in_banner) {
-  (void)file;
-  (void)index;
-  (void)in_banner;
+bool Anonymizer::ApplyCommentRules(std::string_view line) {
   if (!options_.strip_comments || !enabled_.strip_bang_comments) {
     return true;
   }

@@ -25,6 +25,12 @@
 // full grammar — by design, since no consistent grammar exists across the
 // 200+ IOS versions the tool must survive (Section 3).
 //
+// This file holds only the IOS rule pack: the rules, their per-line
+// dispatch and the banner regions of a file. The file loop, the preload,
+// line observation, the hooks and the metric sync belong to the shared
+// line engine (core::AnonymizerEngine, core/engine.h), which the JunOS
+// rule pack uses too.
+//
 // All mapping state (hash memo, IP trie, ASN permutation) lives in a
 // core::NetworkState shared by every engine of one network: one state ==
 // one network. An Anonymizer constructed standalone owns a fresh state; a
@@ -38,24 +44,15 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "asn/asn_map.h"
-#include "asn/community.h"
 #include "asn/regex_rewrite.h"
 #include "config/document.h"
 #include "config/tokenizer.h"
 #include "core/engine.h"
-#include "core/leak_detector.h"
 #include "core/network_state.h"
-#include "core/report.h"
-#include "core/string_hasher.h"
-#include "ipanon/ip_anonymizer.h"
 #include "net/prefix.h"
-#include "obs/hooks.h"
-#include "obs/metrics.h"
-#include "obs/provenance.h"
-#include "obs/trace.h"
 #include "passlist/passlist.h"
 #include "util/arena.h"
 
@@ -146,6 +143,7 @@ inline constexpr char kSubnetPreload[] = "I7.subnet-preload";
 class ServiceContext;
 class Session;
 
+/// The IOS rule pack over the shared line engine (core/engine.h).
 class Anonymizer : public AnonymizerEngine {
  public:
   /// Standalone engine owning a fresh NetworkState.
@@ -161,64 +159,12 @@ class Anonymizer : public AnonymizerEngine {
   /// session. Equivalent to what the context's kIos factory builds.
   Anonymizer(const ServiceContext& context, const Session& session);
 
-  /// Anonymizes all files of one network consistently. Performs the
-  /// address-preload pass over the whole corpus first (rule I7), then
-  /// rewrites each file.
-  std::vector<config::ConfigFile> AnonymizeNetwork(
-      const std::vector<config::ConfigFile>& files) override;
-
-  /// Anonymizes a single file using (and extending) the shared state.
-  /// When no corpus-wide preload has happened yet (standalone streaming
-  /// use), this file's own addresses are preloaded first, so rule I7's
-  /// subnet-address guarantee holds file-locally.
-  config::ConfigFile AnonymizeFile(const config::ConfigFile& file) override;
-
   /// Writes the anonymized groupings of the declared known entities, one
   /// entity per line: "entity <n>: asns <a1> <a2> ... prefixes <p1> ...".
   /// All values are post-anonymization; labels are never written. This is
   /// the Section 5 extension: the implicit AS-X/prefix-Y relationship is
   /// preserved as an explicit, still-anonymous grouping.
   void ExportKnownEntities(std::ostream& out) override;
-
-  const AnonymizationReport& report() const override { return report_; }
-  const LeakRecord& leak_record() const override { return leak_record_; }
-
-  // --- observability (all optional, all non-owning) ---
-  //
-  // With no hooks installed the per-line hot path pays a single branch;
-  // the benches run in that mode.
-
-  /// Installs all observability hooks in one shot:
-  ///   * hooks.metrics — mirrors the report (per-rule fire counts,
-  ///     word/address totals), the IP trie's hit/miss/size stats, the
-  ///     arena's allocation counters ("arena.bytes", "arena.resets") and
-  ///     per-phase latency histograms ("core.line_ns", "core.file_ns",
-  ///     "core.tokenize_ns", "asn.rewrite_ns") into the registry, synced
-  ///     at file boundaries;
-  ///   * hooks.trace — emits Chrome-trace spans (network phase, one span
-  ///     per file, per-rule spans nested inside each file span);
-  ///   * hooks.provenance — records one ProvenanceEntry per (line, fired
-  ///     rule) with before/after word counts (Section 6.1 leak triage).
-  void install_hooks(const obs::Hooks& hooks) override;
-
-  /// Pushes any unreported report/trie deltas into the registry. Called
-  /// automatically at file boundaries; idempotent.
-  void SyncMetrics() override;
-
-  const std::shared_ptr<NetworkState>& state() const override {
-    return state_;
-  }
-
-  const asn::AsnMap& asn_map() const { return state_->asn_map; }
-  const asn::Uint16Permutation& community_values() const {
-    return state_->community_values;
-  }
-  ipanon::IpAnonymizer& ip_anonymizer() { return state_->ip; }
-  StringHasher& string_hasher() { return state_->hasher; }
-  /// The effective list: the options' pass-list itself when there are no
-  /// extras (so engines of one context share one object), else a merged
-  /// copy.
-  const passlist::PassList& pass_list() const { return *pass_list_; }
 
   /// Collects every non-special IP address literal in `file` (the
   /// operand of rule I7's preload). Exposed so the pipeline can run the
@@ -276,38 +222,20 @@ class Anonymizer : public AnonymizerEngine {
     bool set_community, set_extcommunity, asn_audit;
     bool map_addresses, special_passthrough, map_prefixes;
     bool address_mask_pairs, address_wildcard_pairs, plain_address_args;
-    bool subnet_preload;
   };
 
-  /// Re-resolves the cached metric instrument pointers and pushes the
-  /// current hook set into the tracer/provenance members.
-  void ApplyHooks();
-
+  /// Marks the banner regions rule C3 strips.
+  void BeginFile(const config::ConfigFile& file) override;
   /// Processes one input line end-to-end: comment rules, then the fused
   /// single-dispatch word pass over the tokens. Appends the anonymized
   /// rendering to `out_lines` (or nothing, for banner continuation
   /// lines).
   void AnonymizeLine(const config::ConfigFile& file, std::size_t index,
-                     const std::vector<bool>& in_banner,
-                     const std::vector<bool>& banner_start,
-                     std::vector<std::string>& out_lines);
-  /// AnonymizeLine wrapped in timing + rule-fire attribution; accumulates
-  /// per-rule nanoseconds into `rule_ns` and feeds the provenance log.
-  void ObserveLine(const config::ConfigFile& file, std::size_t index,
-                   const std::vector<bool>& in_banner,
-                   const std::vector<bool>& banner_start,
-                   std::vector<std::string>& out_lines,
-                   std::map<std::string, std::uint64_t>& rule_ns);
-  /// Records a regexp rewrite's cost into the registry, if installed.
-  /// Memo-served results count toward "asn.rewrite_memo_hits" instead of
-  /// re-adding DFA states / rewrite latency.
-  void RecordRewrite(const asn::RewriteResult& result);
+                     std::vector<std::string>& out_lines) override;
 
   /// Comment rules (C1). Returns false when the whole line collapses to
   /// a '!' comment.
-  bool ApplyCommentRules(const config::ConfigFile& file, std::size_t index,
-                         std::string_view line,
-                         const std::vector<bool>& in_banner);
+  bool ApplyCommentRules(std::string_view line);
   /// The five word passes fused into one dispatch: line-shaped rules
   /// (free text, ASN locations, misc) run off the shared lowercase view,
   /// then one loop applies the per-token IP and generic-hashing rules to
@@ -332,34 +260,10 @@ class Anonymizer : public AnonymizerEngine {
   void RecordAsn(std::uint32_t asn);
 
   AnonymizerOptions options_;
-  std::shared_ptr<const passlist::PassList> pass_list_;
   EnabledRules enabled_;
-  /// Whether state_ was handed in (pipeline worker) rather than owned.
-  bool shared_state_ = false;
-  std::shared_ptr<NetworkState> state_;
-  AnonymizationReport report_;
-  LeakRecord leak_record_;
-
-  // Observability state. The histogram/counter pointers are resolved once
-  // in ApplyHooks so instrumented paths touch only atomics.
-  obs::Hooks hooks_;
-  obs::Tracer tracer_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::ProvenanceLog* provenance_ = nullptr;
-  obs::LatencyHistogram* line_hist_ = nullptr;
-  obs::LatencyHistogram* file_hist_ = nullptr;
-  obs::LatencyHistogram* tokenize_hist_ = nullptr;
-  obs::LatencyHistogram* rewrite_hist_ = nullptr;
-  obs::Counter* dfa_states_total_ = nullptr;
-  obs::Counter* rewrite_memo_hits_ = nullptr;
-  /// Last report/trie state already pushed to the registry (delta base).
-  AnonymizationReport synced_report_;
-  ipanon::IpAnonymizer::Stats synced_ip_;
-  std::uint64_t synced_arena_bytes_ = 0;
-  std::uint64_t synced_arena_resets_ = 0;
-
-  /// Per-file scratch for rewritten words; reset at file boundaries.
-  util::Arena arena_;
+  /// Rule C3's banner regions of the current file, one flag per line.
+  std::vector<bool> in_banner_;
+  std::vector<bool> banner_start_;
   /// Reused across lines so tokenize allocates nothing in steady state.
   LineCtx line_ctx_;
 };

@@ -49,10 +49,6 @@ void ServiceContext::RegisterEngineFactory(ConfigDialect dialect,
   factories_[static_cast<std::size_t>(dialect)] = std::move(factory);
 }
 
-bool ServiceContext::HasEngineFactory(ConfigDialect dialect) const {
-  return factories_[static_cast<std::size_t>(dialect)] != nullptr;
-}
-
 AnonymizerOptions ServiceContext::EngineOptions(const Session& session) const {
   AnonymizerOptions engine_options = options_.base;
   engine_options.salt = session.salt();

@@ -180,7 +180,6 @@ class ServiceContext {
   /// Setup-time: replaces the factory for `dialect` (kAuto is invalid —
   /// resolve it per file first).
   void RegisterEngineFactory(ConfigDialect dialect, EngineFactory factory);
-  bool HasEngineFactory(ConfigDialect dialect) const;
 
   /// Constructs a dialect engine over `session`'s state, with the
   /// context's engine options re-salted for the session. Throws

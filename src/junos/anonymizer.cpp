@@ -1,10 +1,9 @@
 #include "junos/anonymizer.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "config/tokenizer.h"
+#include "core/anonymizer.h"
 #include "core/session.h"
 #include "net/prefix.h"
 #include "net/special.h"
@@ -39,6 +38,15 @@ std::string_view Quote(std::string_view text, util::Arena& arena) {
   return {out, text.size() + 2};
 }
 
+constexpr core::DialectTraits kJunosTraits{
+    .metric_prefix = "junos.",
+    .timing_prefix = "junos.",
+    .network_span = "junos-anonymize-network",
+    .preload_span = "junos-preload",
+    .preload_rule = nullptr,
+    .collect_addresses = &JunosAnonymizer::CollectFileAddresses,
+};
+
 }  // namespace
 
 passlist::PassList JunosPassList() {
@@ -55,29 +63,26 @@ const std::shared_ptr<const passlist::PassList>& SharedJunosPassList() {
   return list;
 }
 
+JunosAnonymizerOptions JunosOptionsFrom(const core::AnonymizerOptions& options) {
+  return JunosAnonymizerOptions{options.salt, options.regex_form,
+                                options.strip_comments,
+                                options.extra_pass_list};
+}
+
 JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options)
     : JunosAnonymizer(std::move(options), nullptr) {}
 
 JunosAnonymizer::JunosAnonymizer(const core::ServiceContext& context,
                                  const core::Session& session)
-    : JunosAnonymizer(
-          [&] {
-            core::AnonymizerOptions base = context.EngineOptions(session);
-            return JunosAnonymizerOptions{base.salt, base.regex_form,
-                                          base.strip_comments,
-                                          std::move(base.extra_pass_list)};
-          }(),
-          session.state()) {}
+    : JunosAnonymizer(JunosOptionsFrom(context.EngineOptions(session)),
+                      session.state()) {}
 
 JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options,
                                  std::shared_ptr<core::NetworkState> state)
-    : options_(std::move(options)),
-      pass_list_(passlist::WithExtras(SharedJunosPassList(),
-                                      options_.extra_pass_list)),
-      shared_state_(state != nullptr),
-      state_(shared_state_
-                 ? std::move(state)
-                 : std::make_shared<core::NetworkState>(options_.salt)) {}
+    : core::AnonymizerEngine(kJunosTraits, options.salt, SharedJunosPassList(),
+                             options.extra_pass_list, std::move(state),
+                             /*preload_enabled=*/true),
+      options_(std::move(options)) {}
 
 void JunosAnonymizer::CollectFileAddresses(const config::ConfigFile& file,
                                            std::vector<net::Ipv4Address>& out) {
@@ -120,99 +125,14 @@ void JunosAnonymizer::CollectHashCandidates(
   }
 }
 
-std::vector<config::ConfigFile> JunosAnonymizer::AnonymizeNetwork(
-    const std::vector<config::ConfigFile>& files) {
-  obs::ScopedTimer network_span(&tracer_, "junos-anonymize-network");
-  network_span.AddArg("files", static_cast<std::int64_t>(files.size()));
-  network_span.AddArg("phase", "anonymize");
-  if (!state_->preloaded.load(std::memory_order_acquire)) {
-    obs::ScopedTimer preload_span(&tracer_, "junos-preload");
-    preload_span.AddArg("phase", "preload");
-    std::vector<net::Ipv4Address> addresses;
-    for (const config::ConfigFile& file : files) {
-      CollectFileAddresses(file, addresses);
-    }
-    state_->ip.Preload(std::move(addresses));
-    state_->preloaded.store(true, std::memory_order_release);
-  }
-  std::vector<config::ConfigFile> out;
-  out.reserve(files.size());
-  for (const config::ConfigFile& file : files) {
-    out.push_back(AnonymizeFile(file));
-  }
-  SyncMetrics();
-  return out;
-}
-
-config::ConfigFile JunosAnonymizer::AnonymizeFile(
-    const config::ConfigFile& file) {
-  // Standalone streaming use (no corpus-wide pass ran): preload this
-  // file's own addresses so the subnet-address guarantee holds at least
-  // file-locally. Within AnonymizeNetwork or the pipeline the corpus
-  // preload already ran and this is skipped.
-  if (!state_->preloaded.load(std::memory_order_acquire)) {
-    std::vector<net::Ipv4Address> addresses;
-    CollectFileAddresses(file, addresses);
-    state_->ip.Preload(std::move(addresses));
-  }
-
-  std::vector<std::string> out_lines;
-  out_lines.reserve(file.lines().size());
+void JunosAnonymizer::BeginFile(const config::ConfigFile& /*file*/) {
   in_block_comment_ = false;
-
-  const bool observing =
-      tracer_.enabled() || provenance_ != nullptr || metrics_ != nullptr;
-  const std::int64_t file_start_us = tracer_.enabled() ? tracer_.NowUs() : 0;
-  const auto file_start = std::chrono::steady_clock::now();
-  std::map<std::string, std::uint64_t> rule_ns;
-
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    if (observing) {
-      ObserveLine(file.name(), index, file.lines()[index], out_lines,
-                  rule_ns);
-    } else {
-      AnonymizeLine(file.lines()[index], out_lines);
-    }
-  }
-  // Every line has been rendered into an owned output string; no
-  // arena-backed view survives past this point.
-  arena_.Reset();
-
-  if (observing) {
-    const std::int64_t file_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - file_start)
-            .count();
-    if (file_hist_ != nullptr) {
-      file_hist_->Record(static_cast<std::uint64_t>(file_ns));
-    }
-    if (tracer_.enabled()) {
-      const std::int64_t file_end_us =
-          file_start_us + std::max<std::int64_t>(file_ns / 1000, 1);
-      std::int64_t cursor = file_start_us;
-      for (const auto& [rule, ns] : rule_ns) {
-        std::int64_t duration = std::max<std::int64_t>(
-            static_cast<std::int64_t>(ns) / 1000, 1);
-        duration = std::min(duration,
-                            std::max<std::int64_t>(file_end_us - cursor, 1));
-        tracer_.Complete("rule:" + rule, cursor, duration, "anonymize");
-        cursor = std::min(cursor + duration, file_end_us - 1);
-      }
-      tracer_.Complete("file:" + file.name(), file_start_us,
-                       file_end_us - file_start_us, "anonymize");
-    }
-    SyncMetrics();
-  }
-
-  std::string out_name = file.name();
-  if (!out_name.empty() && !pass_list_->Contains(out_name)) {
-    out_name = state_->hasher.Hash(out_name);
-  }
-  return config::ConfigFile(out_name, std::move(out_lines));
 }
 
-void JunosAnonymizer::AnonymizeLine(std::string_view raw,
+void JunosAnonymizer::AnonymizeLine(const config::ConfigFile& file,
+                                    std::size_t index,
                                     std::vector<std::string>& out_lines) {
+  const std::string_view raw = file.lines()[index];
   ++report_.total_lines;
 
   // '/* ... */' block comments (possibly multi-line): stripped whole.
@@ -233,114 +153,10 @@ void JunosAnonymizer::AnonymizeLine(std::string_view raw,
   }
 
   JunosLine& line = line_buf_;
-  if (tokenize_hist_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    TokenizeJunosLineInto(raw, line);
-    tokenize_hist_->Record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  } else {
-    TokenizeJunosLineInto(raw, line);
-  }
+  TimedTokenize([&] { TokenizeJunosLineInto(raw, line); });
   report_.total_words += WordCount(line);
   ProcessLine(line);
   out_lines.push_back(line.Render());
-}
-
-void JunosAnonymizer::ObserveLine(const std::string& file_name,
-                                  std::size_t index, std::string_view raw,
-                                  std::vector<std::string>& out_lines,
-                                  std::map<std::string, std::uint64_t>& rule_ns) {
-  const std::uint64_t words_before = report_.total_words;
-  const std::size_t out_count = out_lines.size();
-  const std::map<std::string, std::uint64_t> fires_before = report_.rule_fires;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  AnonymizeLine(raw, out_lines);
-
-  const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  if (line_hist_ != nullptr) line_hist_->Record(elapsed_ns);
-
-  const auto tokens_before =
-      static_cast<std::uint32_t>(report_.total_words - words_before);
-  const auto tokens_after = static_cast<std::uint32_t>(
-      out_lines.size() > out_count ? util::SplitWords(out_lines.back()).size()
-                                   : 0);
-
-  std::vector<const std::string*> fired;
-  for (const auto& [name, count] : report_.rule_fires) {
-    const auto before = fires_before.find(name);
-    if (before == fires_before.end() || before->second != count) {
-      fired.push_back(&name);
-    }
-  }
-  if (fired.empty()) return;
-  const std::uint64_t share = elapsed_ns / fired.size();
-  for (const std::string* rule : fired) {
-    if (tracer_.enabled()) rule_ns[*rule] += share;
-    if (provenance_ != nullptr) {
-      provenance_->Record(obs::ProvenanceEntry{
-          file_name, static_cast<std::uint64_t>(index), *rule, tokens_before,
-          tokens_after});
-    }
-  }
-}
-
-void JunosAnonymizer::install_hooks(const obs::Hooks& hooks) {
-  hooks_ = hooks;
-  ApplyHooks();
-}
-
-void JunosAnonymizer::ApplyHooks() {
-  tracer_.set_sink(hooks_.trace);
-  provenance_ = hooks_.provenance;
-  metrics_ = hooks_.metrics;
-  line_hist_ = metrics_ != nullptr
-                   ? &metrics_->HistogramNamed("junos.line_ns")
-                   : nullptr;
-  file_hist_ = metrics_ != nullptr
-                   ? &metrics_->HistogramNamed("junos.file_ns")
-                   : nullptr;
-  tokenize_hist_ = metrics_ != nullptr
-                       ? &metrics_->HistogramNamed("junos.tokenize_ns")
-                       : nullptr;
-}
-
-void JunosAnonymizer::ExportKnownEntities(std::ostream& out) { (void)out; }
-
-void JunosAnonymizer::SyncMetrics() {
-  if (metrics_ == nullptr) return;
-  core::SyncReportDeltas(report_, synced_report_, *metrics_, "junos.");
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      metrics_->CounterNamed(name).Add(current - base);
-      base = current;
-    }
-  };
-  // The arena is engine-local (one per worker), so its counters sync
-  // here even under a shared NetworkState.
-  sync("junos.arena.bytes", arena_.bytes_allocated(), synced_arena_bytes_);
-  sync("junos.arena.resets", arena_.resets(), synced_arena_resets_);
-  if (shared_state_) {
-    // The trie belongs to the pipeline's shared NetworkState; per-worker
-    // delta syncs would double count, so the pipeline syncs centrally.
-    return;
-  }
-  const ipanon::IpAnonymizer::Stats ip_stats = state_->ip.stats();
-  sync("junos.ipanon.cache_hits", ip_stats.cache_hits, synced_ip_.cache_hits);
-  sync("junos.ipanon.cache_misses", ip_stats.cache_misses,
-       synced_ip_.cache_misses);
-  sync("junos.ipanon.collision_walks", ip_stats.collision_walks,
-       synced_ip_.collision_walks);
-  sync("junos.ipanon.preloaded_addresses", ip_stats.preloaded,
-       synced_ip_.preloaded);
-  metrics_->GaugeNamed("junos.ipanon.trie_nodes")
-      .Set(static_cast<std::int64_t>(state_->ip.NodeCount()));
 }
 
 void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
@@ -450,6 +266,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
       try {
         const asn::RewriteResult result =
             state_->aspath_rewriter.Rewrite(pattern, options_.regex_form);
+        RecordRewrite(result);
         for (std::uint32_t a : asn::EnumerateLanguage(pattern)->accepted) {
           if (asn::IsPublicAsn(a)) {
             leak_record_.public_asns.insert(std::to_string(a));
@@ -490,6 +307,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
           try {
             const asn::RewriteResult result =
                 state_->community_rewriter.Rewrite(pattern, options_.regex_form);
+            RecordRewrite(result);
             if (result.changed) {
               value.text = Quote(result.pattern, arena_);
               ++report_.community_regexps_rewritten;

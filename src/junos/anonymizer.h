@@ -20,38 +20,30 @@
 //   * addresses appear in CIDR form ("address 1.2.3.4/30;"), mapped by
 //     the shared trie.
 //
-// JunosAnonymizer implements core::AnonymizerEngine over a
-// core::NetworkState: construct it with the SAME state (or just the same
-// salt) as an IOS engine and the mappings agree (tested) — which is how
-// the pipeline routes a mixed IOS/JunOS corpus through one consistent
-// mapping.
+// JunosAnonymizer is that rule pack and nothing else: the file loop, the
+// preload, line observation, the hooks and the metric sync belong to the
+// shared line engine (core::AnonymizerEngine, core/engine.h), the same
+// code that runs the IOS rules. Construct it over the SAME NetworkState (or
+// just the same salt) as an IOS engine and the mappings agree (tested) —
+// which is how the pipeline routes a mixed IOS/JunOS corpus through one
+// consistent mapping.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "asn/asn_map.h"
-#include "asn/community.h"
 #include "asn/regex_rewrite.h"
 #include "config/document.h"
 #include "core/engine.h"
-#include "core/leak_detector.h"
 #include "core/network_state.h"
-#include "core/report.h"
-#include "core/string_hasher.h"
-#include "ipanon/ip_anonymizer.h"
 #include "junos/tokenizer.h"
-#include "obs/hooks.h"
-#include "obs/metrics.h"
-#include "obs/provenance.h"
-#include "obs/trace.h"
 #include "passlist/passlist.h"
-#include "util/arena.h"
 
 namespace confanon::core {
+struct AnonymizerOptions;
 class ServiceContext;
 class Session;
 }  // namespace confanon::core
@@ -74,6 +66,16 @@ struct JunosAnonymizerOptions {
   passlist::PassList extra_pass_list;
 };
 
+/// The JunOS-applicable subset of a context's engine options: salt,
+/// regexp form, comment stripping and extras. Rule toggles, the IOS
+/// pass-list and known entities have no JunOS counterpart.
+JunosAnonymizerOptions JunosOptionsFrom(const core::AnonymizerOptions& options);
+
+/// The JunOS rule pack over the shared line engine (core/engine.h). Its
+/// metrics carry a "junos." prefix so a mixed IOS/JunOS run can share one
+/// registry without colliding ("junos.report.*", "junos.line_ns"); rule
+/// counters keep their globally unique "J." names under "junos.rule.J.*".
+/// Regexp rewrite costs land in the shared "asn.rewrite_*" metrics.
 class JunosAnonymizer : public core::AnonymizerEngine {
  public:
   /// Standalone engine owning a fresh NetworkState.
@@ -83,31 +85,11 @@ class JunosAnonymizer : public core::AnonymizerEngine {
   JunosAnonymizer(JunosAnonymizerOptions options,
                   std::shared_ptr<core::NetworkState> state);
   /// Session-API form (see core/session.h): an engine over `session`'s
-  /// shared state, taking the JunOS-applicable subset of the context's
-  /// engine options with the session's salt. Equivalent to what the
-  /// context's kJunos factory (pipeline::MakeServiceContext) builds.
+  /// shared state, taking JunosOptionsFrom the context's engine options
+  /// for the session. Equivalent to what the context's kJunos factory
+  /// (pipeline::MakeServiceContext) builds.
   JunosAnonymizer(const core::ServiceContext& context,
                   const core::Session& session);
-
-  std::vector<config::ConfigFile> AnonymizeNetwork(
-      const std::vector<config::ConfigFile>& files) override;
-  /// Anonymizes a single file. When no corpus-wide preload has happened
-  /// yet, this file's own addresses are preloaded first (the file-local
-  /// form of the IOS rule I7 guarantee).
-  config::ConfigFile AnonymizeFile(const config::ConfigFile& file) override;
-
-  /// JunOS options declare no known entities; writes nothing.
-  void ExportKnownEntities(std::ostream& out) override;
-
-  const core::AnonymizationReport& report() const override { return report_; }
-  const core::LeakRecord& leak_record() const override { return leak_record_; }
-  const asn::AsnMap& asn_map() const { return state_->asn_map; }
-  ipanon::IpAnonymizer& ip_anonymizer() { return state_->ip; }
-  core::StringHasher& string_hasher() { return state_->hasher; }
-
-  const std::shared_ptr<core::NetworkState>& state() const override {
-    return state_;
-  }
 
   /// Collects every non-special IP address literal in `file` under JunOS
   /// tokenization (for the corpus-wide preload pass).
@@ -122,27 +104,14 @@ class JunosAnonymizer : public core::AnonymizerEngine {
                                     const passlist::PassList& pass_list,
                                     std::vector<std::string_view>& out);
 
-  // --- observability (optional, non-owning; see core::Anonymizer) ---
-  // Metric names carry a "junos." prefix so a mixed IOS/JunOS run can
-  // share one registry without colliding ("junos.report.*",
-  // "junos.line_ns"); rule counters keep their globally unique "J." names
-  // under "junos.rule.J.*".
-
-  /// Installs all observability hooks in one shot.
-  void install_hooks(const obs::Hooks& hooks) override;
-  void SyncMetrics() override;
-
  private:
-  void ApplyHooks();
-  void ProcessLine(JunosLine& line);
+  /// Resets the block-comment state.
+  void BeginFile(const config::ConfigFile& file) override;
   /// One raw input line end-to-end: block-comment handling, tokenization,
   /// rule pack, rendering.
-  void AnonymizeLine(std::string_view raw,
-                     std::vector<std::string>& out_lines);
-  /// AnonymizeLine under timing + rule attribution (see core::Anonymizer).
-  void ObserveLine(const std::string& file_name, std::size_t index,
-                   std::string_view raw, std::vector<std::string>& out_lines,
-                   std::map<std::string, std::uint64_t>& rule_ns);
+  void AnonymizeLine(const config::ConfigFile& file, std::size_t index,
+                     std::vector<std::string>& out_lines) override;
+  void ProcessLine(JunosLine& line);
   /// Force-hashes the word token at `index` (records it when unknown).
   void ForceHash(JunosLine& line, std::size_t index, const char* rule);
   /// Replaces `token` with its hash token (quoted for kString tokens).
@@ -150,31 +119,7 @@ class JunosAnonymizer : public core::AnonymizerEngine {
   std::string MapAsnText(std::string_view text);
 
   JunosAnonymizerOptions options_;
-  /// SharedJunosPassList() itself, or a merged copy when there are extras.
-  std::shared_ptr<const passlist::PassList> pass_list_;
-  /// Whether state_ was handed in (pipeline worker / mixed-dialect run)
-  /// rather than owned; shared trie counters are then synced centrally.
-  bool shared_state_ = false;
-  std::shared_ptr<core::NetworkState> state_;
-  core::AnonymizationReport report_;
-  core::LeakRecord leak_record_;
   bool in_block_comment_ = false;
-
-  obs::Hooks hooks_;
-  obs::Tracer tracer_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::ProvenanceLog* provenance_ = nullptr;
-  obs::LatencyHistogram* line_hist_ = nullptr;
-  obs::LatencyHistogram* file_hist_ = nullptr;
-  obs::LatencyHistogram* tokenize_hist_ = nullptr;
-  core::AnonymizationReport synced_report_;
-  ipanon::IpAnonymizer::Stats synced_ip_;
-  std::uint64_t synced_arena_bytes_ = 0;
-  std::uint64_t synced_arena_resets_ = 0;
-
-  /// Per-file scratch for rewritten/quoted token text; reset at file
-  /// boundaries, after the file's lines have been rendered.
-  util::Arena arena_;
   /// Reused across lines so tokenize allocates nothing in steady state.
   JunosLine line_buf_;
 };

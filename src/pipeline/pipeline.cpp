@@ -27,8 +27,8 @@ struct EngineWorker {
       : ios(context.MakeEngine(core::ConfigDialect::kIos, session)),
         junos(context.MakeEngine(core::ConfigDialect::kJunos, session)) {}
 
-  core::AnonymizerEngine& ForDialect(FileDialect dialect) {
-    return dialect == FileDialect::kJunos ? *junos : *ios;
+  core::AnonymizerEngine& ForDialect(core::ConfigDialect dialect) {
+    return dialect == core::ConfigDialect::kJunos ? *junos : *ios;
   }
 
   std::unique_ptr<core::AnonymizerEngine> ios;
@@ -47,11 +47,7 @@ std::shared_ptr<core::ServiceContext> BuildContext(
       [](const core::AnonymizerOptions& engine_options,
          std::shared_ptr<core::NetworkState> state) {
         return std::make_unique<junos::JunosAnonymizer>(
-            junos::JunosAnonymizerOptions{engine_options.salt,
-                                          engine_options.regex_form,
-                                          engine_options.strip_comments,
-                                          engine_options.extra_pass_list},
-            std::move(state));
+            junos::JunosOptionsFrom(engine_options), std::move(state));
       });
   // Static policy verification (src/verify) happens here — the lowest
   // layer that links both dialect engines and thus can model the full
@@ -79,40 +75,29 @@ std::shared_ptr<core::ServiceContext> MakeServiceContext(
 CorpusPipeline::CorpusPipeline(
     std::shared_ptr<const core::ServiceContext> context,
     std::shared_ptr<core::Session> session)
-    : context_(std::move(context)),
-      session_(std::move(session)),
-      per_call_preload_(true) {
+    : context_(std::move(context)), session_(std::move(session)) {
   install_hooks(context_->hooks());
 }
-
-CorpusPipeline::CorpusPipeline(PipelineOptions options)
-    : context_(MakeServiceContext(std::move(options))),
-      session_(context_->CreateSession()),
-      per_call_preload_(false) {}
 
 int CorpusPipeline::ResolveThreads(std::size_t file_count) const {
   return context_->ResolveThreads(file_count);
 }
 
-FileDialect CorpusPipeline::ResolveDialect(
+core::ConfigDialect CorpusPipeline::ResolveDialect(
     const config::ConfigFile& file) const {
-  const FileDialect dialect = context_->options().dialect;
-  return dialect == FileDialect::kAuto ? core::DetectDialect(file) : dialect;
+  const core::ConfigDialect dialect = context_->options().dialect;
+  return dialect == core::ConfigDialect::kAuto ? core::DetectDialect(file)
+                                               : dialect;
 }
 
 void CorpusPipeline::PreloadCorpus(
     const std::vector<config::ConfigFile>& files,
-    const std::vector<FileDialect>& dialects) {
+    const std::vector<core::ConfigDialect>& dialects) {
   core::NetworkState& state = *session_->state();
-  // Options form: one preload per session (the sequential engine's
-  // corpus-pass semantics). Session form: every call preloads its own
-  // corpus — Preload is idempotent per address, and a per-request
-  // preload is exactly what the standalone streaming AnonymizeFile path
-  // does, which keeps request streams byte-identical to it.
-  if (!per_call_preload_ &&
-      state.preloaded.load(std::memory_order_acquire)) {
-    return;
-  }
+  // Every call preloads its own corpus: Preload is idempotent per
+  // address, and a per-request preload is exactly what the standalone
+  // streaming AnonymizeFile path does, which keeps request streams
+  // byte-identical to it.
   const bool i7_enabled = !context_->options().base.disabled_rules.contains(
       core::rules::kSubnetPreload);
 
@@ -123,7 +108,7 @@ void CorpusPipeline::PreloadCorpus(
   std::size_t ios_count = 0;
   bool any_ios = false;
   for (std::size_t i = 0; i < files.size(); ++i) {
-    if (dialects[i] == FileDialect::kJunos) {
+    if (dialects[i] == core::ConfigDialect::kJunos) {
       junos::JunosAnonymizer::CollectFileAddresses(files[i], addresses);
     } else if (i7_enabled) {
       any_ios = true;
@@ -146,7 +131,7 @@ void CorpusPipeline::PreloadCorpus(
 
 std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     const std::vector<config::ConfigFile>& files) {
-  std::vector<FileDialect> dialects(files.size());
+  std::vector<core::ConfigDialect> dialects(files.size());
 
   // Phase 1: dialect routing + corpus-wide preload. All RNG consumption
   // happens here; phase 2 only reads the trie's memo.
@@ -227,7 +212,12 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
         }
       }
     }
-    SyncSharedMetrics();
+    // Workers skip the shared trie's counters (syncing them per worker
+    // would double count); they are synced here, once.
+    if (hooks_.metrics != nullptr) {
+      core::SyncTrieDeltas(session_->state()->ip, synced_ip_, *hooks_.metrics,
+                           "");
+    }
   }
 
   // Phase 3 (opt-in): fingerprint defense. Decoy insertion is sequential
@@ -263,26 +253,6 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     decoy_manifest_ = {};
   }
   return out;
-}
-
-void CorpusPipeline::SyncSharedMetrics() {
-  if (hooks_.metrics == nullptr) return;
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      hooks_.metrics->CounterNamed(name).Add(current - base);
-      base = current;
-    }
-  };
-  core::NetworkState& state = *session_->state();
-  const ipanon::IpAnonymizer::Stats ip_stats = state.ip.stats();
-  sync("ipanon.cache_hits", ip_stats.cache_hits, synced_ip_.cache_hits);
-  sync("ipanon.cache_misses", ip_stats.cache_misses, synced_ip_.cache_misses);
-  sync("ipanon.collision_walks", ip_stats.collision_walks,
-       synced_ip_.collision_walks);
-  sync("ipanon.preloaded_addresses", ip_stats.preloaded, synced_ip_.preloaded);
-  hooks_.metrics->GaugeNamed("ipanon.trie_nodes")
-      .Set(static_cast<std::int64_t>(state.ip.NodeCount()));
 }
 
 void CorpusPipeline::ExportKnownEntities(std::ostream& out) {

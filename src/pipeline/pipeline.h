@@ -50,23 +50,6 @@
 
 namespace confanon::pipeline {
 
-/// DEPRECATED alias: dialect routing now lives in core::ConfigDialect so
-/// the Session/Context API can route files without linking the pipeline.
-/// Kept for one release; new code should spell core::ConfigDialect.
-using FileDialect = core::ConfigDialect;
-
-/// DEPRECATED forwarder for core::DetectDialect (the brace-structure
-/// heuristic); kept for one release.
-inline FileDialect DetectDialect(const config::ConfigFile& file) {
-  return core::DetectDialect(file);
-}
-
-/// DEPRECATED alias: the consolidated options struct consumed by
-/// core::ServiceContext is core::ServiceOptions (threads, dialect
-/// routing, engine options). Kept for one release; new code should
-/// spell core::ServiceOptions.
-using PipelineOptions = core::ServiceOptions;
-
 /// Builds a ServiceContext with BOTH built-in dialect engine factories
 /// registered (IOS is registered by core itself; JunOS is registered
 /// here, the lowest layer that links the JunOS engine). Every batch tool
@@ -75,26 +58,17 @@ std::shared_ptr<core::ServiceContext> MakeServiceContext(
     core::ServiceOptions options);
 
 /// Anonymizes corpora against one core::Session with a pool of engine
-/// workers. Two construction forms:
-///
-///   * Session form — CorpusPipeline(context, session): the pipeline is a
-///     driver over an externally owned (possibly long-lived) session.
-///     EVERY AnonymizeCorpus call preloads its own corpus's addresses
-///     (Preload is idempotent per address), so a session fed successive
-///     requests produces byte-for-byte what a sequential engine fed the
-///     same files in the same order produces — the daemon's streaming
-///     contract.
-///   * Options form — CorpusPipeline(options): DEPRECATED thin forwarder
-///     that builds a private context + session; preserves the historical
-///     batch semantics (one preload per session, later AnonymizeCorpus
-///     calls reuse the established mappings).
+/// workers, run over an externally owned (possibly long-lived)
+/// session. EVERY AnonymizeCorpus call preloads its own corpus's
+/// addresses (Preload is idempotent per address), so a session fed
+/// successive requests produces byte-for-byte what a sequential engine
+/// fed the same files in the same order produces — the daemon's
+/// streaming contract. A batch run builds its context with
+/// MakeServiceContext and its session with CreateSession().
 class CorpusPipeline {
  public:
   CorpusPipeline(std::shared_ptr<const core::ServiceContext> context,
                  std::shared_ptr<core::Session> session);
-
-  /// DEPRECATED forwarder; see class comment.
-  explicit CorpusPipeline(PipelineOptions options);
 
   /// Phase 1 + phase 2 (see file comment). Output file i corresponds to
   /// input file i. Worker exceptions are rethrown on the calling thread.
@@ -145,25 +119,17 @@ class CorpusPipeline {
  private:
   /// Effective thread count for a corpus of `file_count` files.
   int ResolveThreads(std::size_t file_count) const;
-  FileDialect ResolveDialect(const config::ConfigFile& file) const;
+  core::ConfigDialect ResolveDialect(const config::ConfigFile& file) const;
 
   /// Corpus-wide rule I7: collect every file's addresses with the
-  /// dialect-appropriate tokenizer and preload the shared trie. In the
-  /// session form this runs once per AnonymizeCorpus call (streaming
-  /// requests each preload their own file set); in the options form it
-  /// runs once per session, like the sequential engine's corpus pass.
+  /// dialect-appropriate tokenizer and preload the shared trie. Runs once
+  /// per AnonymizeCorpus call (streaming requests each preload their own
+  /// file set).
   void PreloadCorpus(const std::vector<config::ConfigFile>& files,
-                     const std::vector<FileDialect>& dialects);
-
-  /// Pushes shared-trie counter deltas and the trie-size gauge into the
-  /// metrics registry (the workers deliberately skip these — syncing
-  /// shared counters per worker would double count).
-  void SyncSharedMetrics();
+                     const std::vector<core::ConfigDialect>& dialects);
 
   std::shared_ptr<const core::ServiceContext> context_;
   std::shared_ptr<core::Session> session_;
-  /// Session form: preload every AnonymizeCorpus call's corpus.
-  bool per_call_preload_ = false;
   core::AnonymizationReport report_;
   core::LeakRecord leak_record_;
   defense::DefenseReport defense_report_;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,10 +43,11 @@ std::vector<config::ConfigFile> MakeCorpus(CorpusKind kind, int routers = 6,
 
 std::vector<config::ConfigFile> Anonymize(
     const std::vector<config::ConfigFile>& files, int threads) {
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "audit-test-salt";
   options.threads = threads;
-  pipeline::CorpusPipeline pipe(options);
+  const auto context = pipeline::MakeServiceContext(std::move(options));
+  pipeline::CorpusPipeline pipe(context, context->CreateSession());
   return pipe.AnonymizeCorpus(files);
 }
 

@@ -49,7 +49,7 @@ void CheckDefendedGolden(const std::string& mode, int threads) {
       LoadCorpus(GoldenDir("pre-" + mode));
   ASSERT_FALSE(inputs.empty());
 
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "golden-salt";
   options.threads = threads;
   options.defense.k = 2;

@@ -59,7 +59,7 @@ void CheckGolden(const std::string& mode, int threads, bool hooked = false) {
       LoadCorpus(GoldenDir("pre-" + mode));
   ASSERT_FALSE(inputs.empty());
 
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "golden-salt";
   options.threads = threads;
   obs::MetricsRegistry metrics;

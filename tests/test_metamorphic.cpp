@@ -66,10 +66,11 @@ std::vector<config::ConfigFile> MixedCorpus(std::uint64_t seed) {
 std::vector<config::ConfigFile> RunPipeline(
     const std::vector<config::ConfigFile>& files, const std::string& salt,
     int threads) {
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = salt;
   options.threads = threads;
-  pipeline::CorpusPipeline pipeline(std::move(options));
+  const auto context = pipeline::MakeServiceContext(std::move(options));
+  pipeline::CorpusPipeline pipeline(context, context->CreateSession());
   return pipeline.AnonymizeCorpus(files);
 }
 

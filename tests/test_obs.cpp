@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "config/document.h"
 #include "core/anonymizer.h"
 #include "core/leak_detector.h"
+#include "core/network_state.h"
 #include "junos/anonymizer.h"
 #include "obs/hooks.h"
 #include "obs/json.h"
@@ -400,20 +402,32 @@ TEST(ObservedAnonymizer, SilentWithoutInstrumentation) {
 TEST(ObservedAnonymizer, JunosMetricsUsePrefix) {
   obs::MetricsRegistry registry;
   obs::ProvenanceLog provenance;
+  std::ostringstream trace_stream;
+  obs::JsonlTraceSink sink(trace_stream);
   junos::JunosAnonymizerOptions options;
   options.salt = "obs-test";
   junos::JunosAnonymizer anonymizer(std::move(options));
-  anonymizer.install_hooks(obs::Hooks{.metrics = &registry,
-                                      .provenance = &provenance});
+  anonymizer.install_hooks(obs::Hooks{
+      .metrics = &registry, .trace = &sink, .provenance = &provenance});
   anonymizer.AnonymizeNetwork({config::ConfigFile::FromText(
       "r0.conf",
       "/* core router */\n"
       "system {\n"
       "    host-name core-fra-1;\n"
       "}\n"
+      "interfaces {\n"
+      "    lo0 {\n"
+      "        unit 0 {\n"
+      "            family inet {\n"
+      "                address 10.9.8.7/32;\n"
+      "            }\n"
+      "        }\n"
+      "    }\n"
+      "}\n"
       "routing-options {\n"
       "    autonomous-system 3320;\n"
       "}\n")});
+  sink.Close();
 
   const obs::RunMetrics metrics = registry.Snapshot();
   EXPECT_EQ(metrics.counters.at("junos.report.total_lines"),
@@ -423,10 +437,88 @@ TEST(ObservedAnonymizer, JunosMetricsUsePrefix) {
   }
   EXPECT_EQ(metrics.histograms.at("junos.line_ns").count,
             anonymizer.report().total_lines);
+  EXPECT_EQ(metrics.histograms.at("junos.file_ns").count, 1u);
+  EXPECT_GT(metrics.histograms.at("junos.tokenize_ns").count, 0u);
+  EXPECT_GT(metrics.counters.at("junos.arena.bytes"), 0u);
+  EXPECT_EQ(metrics.counters.at("junos.arena.resets"), 1u);
+  // A standalone engine owns its trie and syncs it under the prefix.
+  EXPECT_EQ(metrics.counters.at("junos.ipanon.preloaded_addresses"), 1u);
+  EXPECT_GT(metrics.gauges.at("junos.ipanon.trie_nodes"), 0);
+  // Nothing lands under the IOS names.
+  for (const auto& [name, value] : metrics.counters) {
+    EXPECT_TRUE(name.rfind("junos.", 0) == 0 || name.rfind("asn.", 0) == 0)
+        << name;
+  }
+  for (const auto& [name, value] : metrics.histograms) {
+    EXPECT_TRUE(name.rfind("junos.", 0) == 0 || name.rfind("asn.", 0) == 0)
+        << name;
+  }
+  // The preload is not counted under the IOS rule I7.
+  EXPECT_FALSE(
+      anonymizer.report().rule_fires.contains(core::rules::kSubnetPreload));
+
+  // Trace: the JunOS network and preload spans, the file span and
+  // per-rule spans nested in it.
+  const std::string trace = trace_stream.str();
+  EXPECT_NE(trace.find("\"name\":\"junos-anonymize-network\""),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"junos-preload\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"file:r0.conf\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"rule:J."), std::string::npos);
+  EXPECT_EQ(trace.find("\"name\":\"anonymize-network\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"name\":\"preload.I7\""), std::string::npos);
+
   ASSERT_FALSE(provenance.empty());
   for (const auto& entry : provenance.entries()) {
     EXPECT_EQ(entry.rule.substr(0, 2), "J.") << entry.rule;
+    EXPECT_EQ(entry.file, "r0.conf");
   }
+}
+
+TEST(ObservedAnonymizer, SharedStateEnginesSyncNoTrieMetrics) {
+  // An IOS and a JunOS engine over one NetworkState: the trie is not
+  // theirs, so neither syncs ipanon.* (its owner, the pipeline, does that
+  // once); their own report and arena counters still sync.
+  obs::MetricsRegistry registry;
+  const auto state = std::make_shared<core::NetworkState>("obs-test");
+  core::AnonymizerOptions ios_options;
+  ios_options.salt = "obs-test";
+  core::Anonymizer ios(std::move(ios_options), state);
+  junos::JunosAnonymizerOptions junos_options;
+  junos_options.salt = "obs-test";
+  junos::JunosAnonymizer junos(std::move(junos_options), state);
+  ios.install_hooks(obs::Hooks{.metrics = &registry});
+  junos.install_hooks(obs::Hooks{.metrics = &registry});
+
+  ios.AnonymizeNetwork({config::ConfigFile::FromText("edge.cfg", kConfig)});
+  junos.AnonymizeFile(config::ConfigFile::FromText(
+      "r0.conf",
+      "interfaces {\n"
+      "    lo0 {\n"
+      "        unit 0 {\n"
+      "            family inet {\n"
+      "                address 10.9.8.7/32;\n"
+      "            }\n"
+      "        }\n"
+      "    }\n"
+      "}\n"));
+  EXPECT_GT(state->ip.stats().preloaded, 0u);
+
+  const obs::RunMetrics metrics = registry.Snapshot();
+  for (const auto& [name, value] : metrics.counters) {
+    EXPECT_NE(name.rfind("ipanon.", 0), 0u) << name;
+    EXPECT_NE(name.rfind("junos.ipanon.", 0), 0u) << name;
+  }
+  for (const auto& [name, value] : metrics.gauges) {
+    EXPECT_NE(name.rfind("ipanon.", 0), 0u) << name;
+    EXPECT_NE(name.rfind("junos.ipanon.", 0), 0u) << name;
+  }
+  EXPECT_EQ(metrics.counters.at("report.total_lines"),
+            ios.report().total_lines);
+  EXPECT_EQ(metrics.counters.at("junos.report.total_lines"),
+            junos.report().total_lines);
+  EXPECT_EQ(metrics.counters.at("arena.resets"), 1u);
+  EXPECT_EQ(metrics.counters.at("junos.arena.resets"), 1u);
 }
 
 TEST(ObservedAnonymizer, HotPathInstrumentsArenaAndTokenize) {

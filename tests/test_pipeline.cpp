@@ -71,12 +71,18 @@ std::vector<config::ConfigFile> MixedCorpus(std::uint64_t seed) {
   return mixed;
 }
 
+/// A batch pipeline: a verified context and a fresh session of it.
+pipeline::CorpusPipeline MakePipeline(core::ServiceOptions options) {
+  const auto context = pipeline::MakeServiceContext(std::move(options));
+  return pipeline::CorpusPipeline(context, context->CreateSession());
+}
+
 std::vector<config::ConfigFile> RunPipeline(
     const std::vector<config::ConfigFile>& files, int threads) {
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "pipeline-test-salt";
   options.threads = threads;
-  pipeline::CorpusPipeline pipeline(std::move(options));
+  auto pipeline = MakePipeline(std::move(options));
   return pipeline.AnonymizeCorpus(files);
 }
 
@@ -92,24 +98,24 @@ void ExpectSameTexts(const std::vector<config::ConfigFile>& a,
 // --- Dialect detection -------------------------------------------------
 
 TEST(DetectDialect, ClassifiesBraceSyntax) {
-  EXPECT_EQ(pipeline::DetectDialect(config::ConfigFile::FromText(
+  EXPECT_EQ(core::DetectDialect(config::ConfigFile::FromText(
                 "r.cfg", "hostname edge-1\ninterface Serial0\n")),
-            pipeline::FileDialect::kIos);
-  EXPECT_EQ(pipeline::DetectDialect(config::ConfigFile::FromText(
+            core::ConfigDialect::kIos);
+  EXPECT_EQ(core::DetectDialect(config::ConfigFile::FromText(
                 "r.conf", "system {\n    host-name core-1;\n}\n")),
-            pipeline::FileDialect::kJunos);
+            core::ConfigDialect::kJunos);
   // Empty files default to IOS.
-  EXPECT_EQ(pipeline::DetectDialect(config::ConfigFile::FromText("e", "")),
-            pipeline::FileDialect::kIos);
+  EXPECT_EQ(core::DetectDialect(config::ConfigFile::FromText("e", "")),
+            core::ConfigDialect::kIos);
 }
 
 TEST(DetectDialect, GeneratedCorporaClassifyCorrectly) {
   for (const auto& file : IosCorpus(11, 6)) {
-    EXPECT_EQ(pipeline::DetectDialect(file), pipeline::FileDialect::kIos)
+    EXPECT_EQ(core::DetectDialect(file), core::ConfigDialect::kIos)
         << file.name();
   }
   for (const auto& file : JunosCorpus(11, 6)) {
-    EXPECT_EQ(pipeline::DetectDialect(file), pipeline::FileDialect::kJunos)
+    EXPECT_EQ(core::DetectDialect(file), core::ConfigDialect::kJunos)
         << file.name();
   }
 }
@@ -124,10 +130,10 @@ TEST(CorpusPipeline, SingleThreadMatchesSequentialIosEngine) {
   core::Anonymizer sequential(options);
   const auto expected = sequential.AnonymizeNetwork(files);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base = options;
   popts.threads = 1;
-  pipeline::CorpusPipeline pipeline(popts);
+  auto pipeline = MakePipeline(popts);
   const auto actual = pipeline.AnonymizeCorpus(files);
 
   ExpectSameTexts(expected, actual);
@@ -143,10 +149,10 @@ TEST(CorpusPipeline, SingleThreadMatchesSequentialJunosEngine) {
   junos::JunosAnonymizer sequential(joptions);
   const auto expected = sequential.AnonymizeNetwork(files);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 1;
-  pipeline::CorpusPipeline pipeline(popts);
+  auto pipeline = MakePipeline(popts);
   const auto actual = pipeline.AnonymizeCorpus(files);
 
   ExpectSameTexts(expected, actual);
@@ -181,14 +187,14 @@ TEST_P(PipelineDeterminism, MixedCorpusByteIdentical) {
 TEST_P(PipelineDeterminism, ReportsMatchAcrossThreadCounts) {
   const auto files = MixedCorpus(34);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 1;
-  pipeline::CorpusPipeline baseline(popts);
+  auto baseline = MakePipeline(popts);
   baseline.AnonymizeCorpus(files);
 
   popts.threads = GetParam();
-  pipeline::CorpusPipeline parallel(popts);
+  auto parallel = MakePipeline(popts);
   parallel.AnonymizeCorpus(files);
 
   EXPECT_EQ(baseline.report().ToJson(), parallel.report().ToJson());
@@ -235,7 +241,7 @@ TEST(AnonymizeNetworkSet, MatchesStandalonePipelines) {
   const auto results = pipeline::AnonymizeNetworkSet(tasks, *SetContext(4));
 
   for (std::size_t n = 0; n < tasks.size(); ++n) {
-    pipeline::CorpusPipeline solo(tasks[n].options);
+    auto solo = MakePipeline(tasks[n].options);
     const auto expected = solo.AnonymizeCorpus(tasks[n].files);
     ExpectSameTexts(expected, results[n].files);
     EXPECT_EQ(solo.report().ToJson(), results[n].report.ToJson());
@@ -274,10 +280,10 @@ TEST(CorpusPipeline, MixedCorpusSharesOneMapping) {
       "    }\n"
       "}\n");
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 2;
-  pipeline::CorpusPipeline pipeline(popts);
+  auto pipeline = MakePipeline(popts);
   const auto post = pipeline.AnonymizeCorpus({ios_file, junos_file});
   ASSERT_EQ(post.size(), 2u);
 
@@ -363,10 +369,10 @@ TEST(CorpusPipeline, HooksCoverMetricsTraceAndProvenance) {
   std::ostringstream trace_stream;
   obs::JsonlTraceSink sink(trace_stream);
 
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 4;
-  pipeline::CorpusPipeline pipeline(popts);
+  auto pipeline = MakePipeline(popts);
   pipeline.install_hooks(obs::Hooks{&registry, &sink, &provenance});
   const auto post = pipeline.AnonymizeCorpus(files);
   sink.Close();
@@ -423,16 +429,37 @@ TEST(CorpusPipeline, RewriteMemoCountsRepeatedPatterns) {
   }
 
   obs::MetricsRegistry registry;
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.threads = 2;
-  pipeline::CorpusPipeline pipeline(popts);
+  auto pipeline = MakePipeline(popts);
   pipeline.install_hooks(obs::Hooks{.metrics = &registry});
   pipeline.AnonymizeCorpus(files);
 
   EXPECT_GT(pipeline.state()->aspath_rewriter.memo().hits(), 0u);
   const obs::RunMetrics metrics = registry.Snapshot();
   EXPECT_GT(metrics.counters.at("asn.rewrite_memo_hits"), 0u);
+
+  // JunOS rewrites go through the same engine code and count the same way.
+  std::vector<config::ConfigFile> junos_files;
+  for (int i = 0; i < 6; ++i) {
+    junos_files.push_back(config::ConfigFile::FromText(
+        "j" + std::to_string(i) + ".conf",
+        "policy-options {\n"
+        "    as-path aspath-7 \"_701_\";\n"
+        "}\n"));
+  }
+  obs::MetricsRegistry junos_registry;
+  auto junos_pipeline = MakePipeline(popts);
+  junos_pipeline.install_hooks(obs::Hooks{.metrics = &junos_registry});
+  junos_pipeline.AnonymizeCorpus(junos_files);
+
+  EXPECT_EQ(junos_pipeline.report().aspath_regexps_rewritten,
+            junos_files.size());
+  const obs::RunMetrics junos_metrics = junos_registry.Snapshot();
+  EXPECT_GT(junos_metrics.counters.at("asn.rewrite_memo_hits"), 0u);
+  EXPECT_GT(junos_metrics.counters.at("asn.rewrite_dfa_states"), 0u);
+  EXPECT_GT(junos_metrics.histograms.at("asn.rewrite_ns").count, 0u);
 }
 
 TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
@@ -442,10 +469,10 @@ TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
   // profiler's "self-times sum to wall time" claim. A generous absolute
   // slack absorbs scheduler noise on tiny corpora.
   const auto files = MixedCorpus(77);
-  pipeline::PipelineOptions options;
+  core::ServiceOptions options;
   options.base.salt = "pipeline-test-salt";
   options.threads = 1;
-  pipeline::CorpusPipeline pipeline(std::move(options));
+  auto pipeline = MakePipeline(std::move(options));
 
   obs::PhaseProfiler profiler({.enable_perf_counters = false});
   obs::Hooks hooks;
@@ -483,12 +510,12 @@ TEST(CorpusPipeline, PhaseProfileCoversTheRun) {
 }
 
 TEST(CorpusPipeline, ExportKnownEntitiesRendersSharedMappings) {
-  pipeline::PipelineOptions popts;
+  core::ServiceOptions popts;
   popts.base.salt = "pipeline-test-salt";
   popts.base.known_entities.push_back(
       {"FOO-CORP", {701, 7018}, {net::Prefix(*net::Ipv4Address::Parse("12.0.0.0"), 8)}});
   popts.threads = 2;
-  pipeline::CorpusPipeline pipeline(popts);
+  auto pipeline = MakePipeline(popts);
   pipeline.AnonymizeCorpus({config::ConfigFile::FromText(
       "r.cfg", "hostname foocorp-edge\n ip address 10.0.0.1 255.0.0.0\n")});
   std::ostringstream out;

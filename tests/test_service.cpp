@@ -173,17 +173,24 @@ TEST(ServiceSession, StreamedRequestsMatchSequentialEngineStream) {
 TEST(ServiceSession, FirstRequestMatchesFreshCliRun) {
   const auto files = IosCorpus(72, 3);
 
-  // CLI equivalent: a fresh batch pipeline over just this file.
-  pipeline::PipelineOptions cli_options;
+  // CLI equivalent: confanon_tool --salt svc-base:tenant-x builds its own
+  // context with that salt and anonymizes the file in a fresh session.
+  core::ServiceOptions cli_options;
   cli_options.base.salt = "svc-base:tenant-x";
-  pipeline::CorpusPipeline cli(std::move(cli_options));
+  const auto cli_context = pipeline::MakeServiceContext(std::move(cli_options));
+  pipeline::CorpusPipeline cli(cli_context, cli_context->CreateSession());
   const auto expected = cli.AnonymizeCorpus({files[0]});
 
+  // Daemon shape: one context salted "svc-base" serves every tenant, and
+  // another tenant's session has already served a request on it.
   core::ServiceOptions options;
-  options.base.salt = "svc-base:tenant-x";
+  options.base.salt = "svc-base";
   const auto context = pipeline::MakeServiceContext(std::move(options));
-  pipeline::CorpusPipeline fresh(context, context->CreateSession());
-  const auto actual = fresh.AnonymizeCorpus({files[0]});
+  pipeline::CorpusPipeline(context, context->CreateSession("svc-base:tenant-y"))
+      .AnonymizeCorpus({files[1], files[2]});
+  pipeline::CorpusPipeline first(context,
+                                 context->CreateSession("svc-base:tenant-x"));
+  const auto actual = first.AnonymizeCorpus({files[0]});
 
   ASSERT_EQ(actual.size(), expected.size());
   EXPECT_EQ(actual.front().ToText(), expected.front().ToText());
