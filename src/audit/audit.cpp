@@ -13,6 +13,7 @@
 #include "audit/canonical.h"
 #include "audit/lint.h"
 #include "audit/refgraph.h"
+#include "audit/tokenized.h"
 #include "core/session.h"
 #include "obs/profiler.h"
 #include "pipeline/parallel_for.h"
@@ -37,36 +38,49 @@ Dialect ResolveDialect(const config::ConfigFile& file, DialectMode mode) {
              : Dialect::kIos;
 }
 
+/// What the per-file phase computes beside the canonical form and the
+/// def/use events: lint mode runs the residue lint, pair mode hashes the
+/// shape ComparePair pairs files by.
+enum class ScanMode : std::uint8_t { kLint, kPair };
+
 /// Everything the per-file parallel phase produces; corpus-level analysis
 /// consumes these read-only.
 struct FileScan {
   CanonicalFile canonical;
   std::vector<RefEvent> refs;
-  std::vector<Finding> lint;
+  std::vector<Finding> lint;  // kLint only
+  std::string shape_hash;     // kPair only
   std::uint64_t scan_ns = 0;
 };
 
-/// Fans canonicalization (and optionally the residue lint) out over the
-/// pipeline worker pool. Each worker writes only to slots of its own
-/// indices, so the result is scheduling-independent.
+/// Fans the per-file scan out over the pipeline worker pool. Each file is
+/// split into words once (TokenizedFile, one per worker) and that split
+/// feeds the canonicalizer, the ref extractor and, in lint mode, the
+/// residue lint. Each worker writes only to slots of its own indices, so
+/// the result is scheduling-independent.
 std::vector<FileScan> ScanFiles(const std::vector<config::ConfigFile>& files,
-                                const AuditOptions& options, bool with_lint) {
+                                const AuditOptions& options, ScanMode mode) {
   std::vector<FileScan> scans(files.size());
   const int threads =
       pipeline::ResolveWorkerCount(options.threads, files.size());
   pipeline::WorkQueue queue(files.size(), 4);
   obs::PhaseProfiler::ScopedPhase phase(options.profiler, nullptr, "audit");
   pipeline::RunWorkers(threads, [&](int) {
+    TokenizedFile text;
     std::size_t begin = 0;
     std::size_t end = 0;
     while (queue.Next(begin, end)) {
       for (std::size_t i = begin; i < end; ++i) {
         const auto start = std::chrono::steady_clock::now();
         FileScan& scan = scans[i];
-        const Dialect dialect = ResolveDialect(files[i], options.dialect);
-        scan.canonical = Canonicalize(files[i], dialect);
-        scan.refs = ExtractRefs(files[i], dialect);
-        if (with_lint) scan.lint = LintFileResidue(files[i], scan.canonical);
+        text.Reset(files[i], ResolveDialect(files[i], options.dialect));
+        scan.canonical = Canonicalize(text);
+        scan.refs = ExtractRefs(text);
+        if (mode == ScanMode::kLint) {
+          scan.lint = LintFileResidue(text, scan.canonical);
+        } else {
+          scan.shape_hash = ShapeHash(scan.canonical);
+        }
         scan.scan_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - start)
@@ -474,7 +488,8 @@ std::size_t FirstShapeDivergence(const std::vector<std::string>& a,
 
 AuditResult LintCorpus(const std::vector<config::ConfigFile>& files,
                        const AuditOptions& options) {
-  const std::vector<FileScan> scans = ScanFiles(files, options, true);
+  const std::vector<FileScan> scans =
+      ScanFiles(files, options, ScanMode::kLint);
   AuditResult result;
   result.files_scanned = files.size();
 
@@ -529,8 +544,10 @@ AuditResult LintCorpus(const std::vector<config::ConfigFile>& files,
 AuditResult ComparePair(const std::vector<config::ConfigFile>& pre,
                         const std::vector<config::ConfigFile>& post,
                         const AuditOptions& options) {
-  const std::vector<FileScan> pre_scans = ScanFiles(pre, options, false);
-  const std::vector<FileScan> post_scans = ScanFiles(post, options, false);
+  const std::vector<FileScan> pre_scans =
+      ScanFiles(pre, options, ScanMode::kPair);
+  const std::vector<FileScan> post_scans =
+      ScanFiles(post, options, ScanMode::kPair);
   AuditResult result;
   result.files_scanned = pre.size() + post.size();
   for (const FileScan& scan : pre_scans) MergeStats(scan.canonical, result);
@@ -542,10 +559,10 @@ AuditResult ComparePair(const std::vector<config::ConfigFile>& pre,
   std::map<std::string, std::vector<std::size_t>> pre_by_hash;
   std::map<std::string, std::vector<std::size_t>> post_by_hash;
   for (std::size_t i = 0; i < pre_scans.size(); ++i) {
-    pre_by_hash[pre_scans[i].canonical.shape_hash].push_back(i);
+    pre_by_hash[pre_scans[i].shape_hash].push_back(i);
   }
   for (std::size_t i = 0; i < post_scans.size(); ++i) {
-    post_by_hash[post_scans[i].canonical.shape_hash].push_back(i);
+    post_by_hash[post_scans[i].shape_hash].push_back(i);
   }
 
   std::vector<std::pair<std::size_t, std::size_t>> pairs;

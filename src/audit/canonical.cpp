@@ -1,16 +1,20 @@
 #include "audit/canonical.h"
 
+#include <array>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "asn/asn_map.h"
 #include "asn/community.h"
+#include "audit/tokenized.h"
 #include "config/tokenizer.h"
 #include "junos/anonymizer.h"
 #include "junos/tokenizer.h"
 #include "net/ipv4.h"
 #include "net/special.h"
 #include "passlist/passlist.h"
+#include "util/charscan.h"
 #include "util/sha1.h"
 #include "util/strings.h"
 
@@ -30,10 +34,14 @@ std::string_view Unquote(std::string_view text) {
 
 /// Mirrors the generic pass-list decision (rules T1/T2 and the JunOS
 /// generic pass): the word survives iff every alphabetic segment is
-/// pass-listed.
+/// pass-listed. Walks the segments config::SegmentWord would return
+/// without collecting them.
 bool AllSegmentsPassed(std::string_view word, const passlist::PassList& list) {
-  for (const config::Segment& segment : config::SegmentWord(word)) {
-    if (segment.alpha && !list.Contains(segment.text)) return false;
+  for (std::size_t i = 0; i < word.size();) {
+    const bool alpha = util::IsAsciiAlpha(word[i]);
+    const std::size_t end = util::FindAlphaBoundary(word, i + 1, alpha);
+    if (alpha && !list.Contains(word.substr(i, end - i))) return false;
+    i = end;
   }
   return true;
 }
@@ -101,19 +109,28 @@ CanonToken ClassifyValueToken(std::string_view word,
 /// view the context rules match on, and the per-word classification
 /// standing in for the rewrite. A regexp rewrite collapses the tail into
 /// one opaque token (`collapse_from`), exactly like ReplaceTailWith.
+/// One context serves every line of a file, so its buffers are reused.
 struct IosLineCtx {
-  std::vector<std::string_view> words;
-  std::vector<std::string> lower;
+  std::span<const std::string_view> words;
+  std::span<const std::string_view> lower;
   std::vector<std::optional<CanonToken>> cls;
+  std::vector<bool> plain_addr;
   std::size_t collapse_from = kNone;
   CanonToken collapse_token;
 
+  void Reset(std::span<const std::string_view> line_words,
+             std::span<const std::string_view> line_lower) {
+    words = line_words;
+    lower = line_lower;
+    cls.assign(words.size(), std::nullopt);
+    collapse_from = kNone;
+  }
   std::size_t Limit() const {
     return collapse_from == kNone ? words.size() : collapse_from;
   }
   void Truncate(std::size_t from) {
-    words.resize(from);
-    lower.resize(from);
+    words = words.first(from);
+    lower = lower.first(from);
     cls.resize(from);
   }
   void Collapse(std::size_t from, CanonToken token) {
@@ -378,73 +395,51 @@ void IosMiscLineRules(IosLineCtx& ctx) {
   }
 }
 
-void CanonicalizeIos(const config::ConfigFile& file, CanonicalFile& out) {
+void CanonicalizeIos(const TokenizedFile& text, CanonicalFile& out) {
   const passlist::PassList& pass_list = *passlist::PassList::SharedBuiltin();
 
-  const std::vector<config::LineRegion> banners =
-      config::FindBannerRegions(file);
-  std::vector<bool> in_banner(file.lines().size(), false);
-  std::vector<bool> banner_start(file.lines().size(), false);
-  for (const config::LineRegion& region : banners) {
-    for (std::size_t i = region.begin; i < region.end; ++i) in_banner[i] = true;
-    banner_start[region.begin] = true;
-  }
-
-  config::LineTokens tokens;
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    const std::string_view raw = file.lines()[index];
+  IosLineCtx ctx;
+  for (std::size_t index = 0; index < text.line_count(); ++index) {
     const auto line_no = static_cast<std::uint32_t>(index);
 
-    if (in_banner[index]) {
+    if (text.kind(index) != TokenizedFile::LineKind::kText) {
       // Rule C3: banner bodies are dropped; a bare "!" marks the start.
-      if (banner_start[index]) {
+      if (text.kind(index) == TokenizedFile::LineKind::kBannerStart) {
         out.lines.push_back(CanonLine{{Verbatim("!")}, line_no});
       }
       continue;
     }
 
-    {
-      // Rule C1: '!' full-line comments collapse to a bare "!".
-      const std::vector<std::string_view> split = util::SplitWords(raw);
-      if (!split.empty() && split[0].front() == '!' &&
-          (split.size() > 1 || split[0].size() > 1)) {
-        out.lines.push_back(CanonLine{{Verbatim("!")}, line_no});
-        continue;
-      }
+    const std::span<const std::string_view> words = text.words(index);
+    // Rule C1: '!' full-line comments collapse to a bare "!".
+    if (!words.empty() && words[0].front() == '!' &&
+        (words.size() > 1 || words[0].size() > 1)) {
+      out.lines.push_back(CanonLine{{Verbatim("!")}, line_no});
+      continue;
     }
 
-    config::TokenizeLineInto(raw, tokens);
-    IosLineCtx ctx;
-    ctx.words.assign(tokens.words.begin(), tokens.words.end());
-    ctx.lower.reserve(ctx.words.size());
-    for (const std::string_view word : ctx.words) {
-      ctx.lower.push_back(util::ToLower(word));
-    }
-    ctx.cls.assign(ctx.words.size(), std::nullopt);
-
+    ctx.Reset(words, text.lower(index));
     IosFreeText(ctx);
     IosAsnLineRules(ctx);
     IosMiscLineRules(ctx);
 
     // Fused token pass (rules I1-I3 then T1/T2) over whatever the line
     // rules left unclaimed, plus the prefix-lattice events.
-    CanonLine line;
-    line.source_line = line_no;
     const std::size_t limit = ctx.Limit();
-    std::vector<bool> plain_addr(limit, false);
+    ctx.plain_addr.assign(limit, false);
     for (std::size_t i = 0; i < limit; ++i) {
       if (!ctx.Claimed(i)) {
         bool plain = false;
         ctx.Claim(i, ClassifyValueToken(ctx.words[i], pass_list, true, line_no,
                                         out.prefixes, &plain));
-        plain_addr[i] = plain;
+        ctx.plain_addr[i] = plain;
       }
     }
     // Address + contiguous-netmask adjacency contributes the masked
     // subnet to the lattice (the mask itself passes through verbatim, so
     // the pairing is the same on both sides).
     for (std::size_t i = 0; i + 1 < limit; ++i) {
-      if (!plain_addr[i]) continue;
+      if (!ctx.plain_addr[i]) continue;
       const auto mask = net::Ipv4Address::Parse(ctx.words[i + 1]);
       if (!mask) continue;
       const auto length = net::NetmaskToPrefixLength(*mask);
@@ -453,47 +448,47 @@ void CanonicalizeIos(const config::ConfigFile& file, CanonicalFile& out) {
       out.prefixes.push_back(
           PrefixEvent{net::Prefix(*address, *length), line_no});
     }
-    for (std::size_t i = 0; i < limit; ++i) line.tokens.push_back(*ctx.cls[i]);
-    if (ctx.collapse_from != kNone) {
-      line.tokens.push_back(ctx.collapse_token);
+    CanonLine& line = out.lines.emplace_back();
+    line.source_line = line_no;
+    const bool collapsed = ctx.collapse_from != kNone;
+    line.tokens.reserve(limit + (collapsed ? 1 : 0));
+    for (std::size_t i = 0; i < limit; ++i) {
+      line.tokens.push_back(std::move(*ctx.cls[i]));
     }
-    out.lines.push_back(std::move(line));
+    if (collapsed) line.tokens.push_back(std::move(ctx.collapse_token));
   }
 
-  out.name_renamed = !file.name().empty() && !pass_list.Contains(file.name());
+  out.name_renamed = !out.name.empty() && !pass_list.Contains(out.name);
 }
 
 // ---------------------------------------------------------------------------
 // JunOS mirror
 // ---------------------------------------------------------------------------
 
-void CanonicalizeJunos(const config::ConfigFile& file, CanonicalFile& out) {
+void CanonicalizeJunos(const TokenizedFile& text, CanonicalFile& out) {
   const passlist::PassList& pass_list = *junos::SharedJunosPassList();
 
-  bool in_block_comment = false;
-  junos::JunosLine line_buf;
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    const std::string_view raw = file.lines()[index];
+  std::vector<std::optional<CanonToken>> cls;
+  std::vector<std::size_t> word_at;
+  for (std::size_t index = 0; index < text.line_count(); ++index) {
     const auto line_no = static_cast<std::uint32_t>(index);
 
     // '/* ... */' block comments collapse to a fixed marker per line.
-    const bool opens =
-        !in_block_comment && util::StartsWith(util::Trim(raw), "/*");
-    if (opens || in_block_comment) {
-      in_block_comment = raw.find("*/") == std::string::npos;
+    if (text.kind(index) == TokenizedFile::LineKind::kBlockComment) {
       out.lines.push_back(CanonLine{{Verbatim("/* */")}, line_no});
       continue;
     }
 
-    TokenizeJunosLineInto(raw, line_buf);
-    auto& tokens = line_buf.tokens;
+    // A trailing '#' comment is dropped.
+    std::span<const junos::Token> tokens = text.tokens(index);
+    const std::span<const std::string_view> lower = text.lower(index);
     if (!tokens.empty() &&
         tokens.back().kind == junos::Token::Kind::kComment) {
-      tokens.pop_back();
+      tokens = tokens.first(tokens.size() - 1);
     }
 
-    std::vector<std::optional<CanonToken>> cls(tokens.size());
-    std::vector<std::size_t> word_at;
+    cls.assign(tokens.size(), std::nullopt);
+    word_at.clear();
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       if (tokens[i].kind == junos::Token::Kind::kWord ||
           tokens[i].kind == junos::Token::Kind::kString) {
@@ -509,7 +504,7 @@ void CanonicalizeJunos(const config::ConfigFile& file, CanonicalFile& out) {
 
     // Context scan, mirroring JunosAnonymizer::ProcessLine.
     for (std::size_t w = 0; w < word_at.size(); ++w) {
-      const std::string keyword = util::ToLower(word(w));
+      const std::string_view keyword = lower[word_at[w]];
       const bool has_next = w + 1 < word_at.size();
 
       if ((keyword == "description" || keyword == "message") && has_next &&
@@ -578,8 +573,6 @@ void CanonicalizeJunos(const config::ConfigFile& file, CanonicalFile& out) {
     // IP pass (bare word tokens only) fused with the generic pass-list
     // decision, as in ClassifyValueToken; string tokens never hold
     // addresses.
-    CanonLine line;
-    line.source_line = line_no;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       if (cls[i].has_value()) continue;
       const junos::Token& token = tokens[i];
@@ -599,13 +592,15 @@ void CanonicalizeJunos(const config::ConfigFile& file, CanonicalFile& out) {
         cls[i] = Verbatim(token.text);  // punctuation: structure, verbatim
       }
     }
+    CanonLine& line = out.lines.emplace_back();
+    line.source_line = line_no;
+    line.tokens.reserve(tokens.size());
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       line.tokens.push_back(std::move(*cls[i]));
     }
-    out.lines.push_back(std::move(line));
   }
 
-  out.name_renamed = !file.name().empty() && !pass_list.Contains(file.name());
+  out.name_renamed = !out.name.empty() && !pass_list.Contains(out.name);
 }
 
 const char* CountKeyFor(TokenClass cls) {
@@ -635,22 +630,41 @@ constexpr std::string_view kProtocolKeywords[] = {
     "interface",  "interfaces", "access-list", "route-map", "prefix-list",
     "community-list", "as-path", "policy-statement", "neighbor", "snmp-server",
 };
+constexpr std::size_t kProtocolKeywordCount = std::size(kProtocolKeywords);
+constexpr std::size_t kTokenClassCount =
+    static_cast<std::size_t>(TokenClass::kAsnList) + 1;
 
+/// Index into kProtocolKeywords of a case-insensitive match, or the
+/// table size when `word` is none of them.
+std::size_t ProtocolKeywordIndex(std::string_view word) {
+  for (std::size_t k = 0; k < kProtocolKeywordCount; ++k) {
+    if (EqualsLowercase(word, kProtocolKeywords[k])) return k;
+  }
+  return kProtocolKeywordCount;
+}
+
+/// Counts tokens by class and verbatim protocol keywords into fixed
+/// arrays, then fills the string-keyed map once. A key is present iff its
+/// count is non-zero ("lines" always is).
 void FillCounts(CanonicalFile& file) {
-  file.counts["lines"] = file.lines.size();
+  std::array<std::uint64_t, kTokenClassCount> by_class{};
+  std::array<std::uint64_t, kProtocolKeywordCount + 1> by_keyword{};
   for (const CanonLine& line : file.lines) {
     for (const CanonToken& token : line.tokens) {
-      ++file.counts[CountKeyFor(token.cls)];
+      ++by_class[static_cast<std::size_t>(token.cls)];
       if (token.cls == TokenClass::kVerbatim) {
-        const std::string low = util::ToLower(token.key);
-        for (const std::string_view keyword : kProtocolKeywords) {
-          if (low == keyword) {
-            ++file.counts["proto." + std::string(keyword)];
-            break;
-          }
-        }
+        ++by_keyword[ProtocolKeywordIndex(token.key)];
       }
     }
+  }
+  file.counts["lines"] = file.lines.size();
+  for (std::size_t c = 0; c < kTokenClassCount; ++c) {
+    if (by_class[c] == 0) continue;
+    file.counts[CountKeyFor(static_cast<TokenClass>(c))] = by_class[c];
+  }
+  for (std::size_t k = 0; k < kProtocolKeywordCount; ++k) {
+    if (by_keyword[k] == 0) continue;
+    file.counts["proto." + std::string(kProtocolKeywords[k])] = by_keyword[k];
   }
 }
 
@@ -737,26 +751,28 @@ std::vector<std::string> RenderShape(const CanonicalFile& file) {
   return out;
 }
 
-CanonicalFile Canonicalize(const config::ConfigFile& file, Dialect dialect) {
+CanonicalFile Canonicalize(const TokenizedFile& text) {
   CanonicalFile out;
-  out.name = file.name();
-  out.dialect = dialect;
-  out.source_line_count = file.lines().size();
-  if (dialect == Dialect::kJunos) {
-    CanonicalizeJunos(file, out);
+  out.name = text.file().name();
+  out.dialect = text.dialect();
+  out.source_line_count = text.line_count();
+  out.lines.reserve(text.line_count());
+  if (out.dialect == Dialect::kJunos) {
+    CanonicalizeJunos(text, out);
   } else {
-    CanonicalizeIos(file, out);
+    CanonicalizeIos(text, out);
   }
   FillCounts(out);
+  return out;
+}
 
-  const std::vector<std::string> shape = RenderShape(out);
+std::string ShapeHash(const CanonicalFile& file) {
   std::string joined;
-  for (const std::string& line : shape) {
+  for (const std::string& line : RenderShape(file)) {
     joined += line;
     joined += '\n';
   }
-  out.shape_hash = util::Sha1::HexDigest(joined);
-  return out;
+  return util::Sha1::HexDigest(joined);
 }
 
 }  // namespace confanon::audit

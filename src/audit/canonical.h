@@ -24,9 +24,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "config/document.h"
 #include "net/prefix.h"
 
 namespace confanon::audit {
@@ -85,19 +85,22 @@ struct CanonicalFile {
   /// Per-protocol line counts for the structural fingerprint summary.
   std::map<std::string, std::uint64_t> counts;
   std::size_t source_line_count = 0;
-  /// SHA-1 hex over the file-locally numbered shape — the pairing key
-  /// between pre and post corpora (output file names are hashed, so
-  /// pairing by name is impossible by design).
-  std::string shape_hash;
 };
 
-/// Canonicalizes one file under the given dialect's default rule pack.
-CanonicalFile Canonicalize(const config::ConfigFile& file, Dialect dialect);
+class TokenizedFile;
+
+/// Canonicalizes one split file under its dialect's default rule pack.
+CanonicalFile Canonicalize(const TokenizedFile& text);
 
 /// Renders the shape lines with file-local first-occurrence numbering
 /// (W1/A1/C1/IP1/RE placeholders). Used for the shape hash and for
 /// first-divergence diffs between unpaired files.
 std::vector<std::string> RenderShape(const CanonicalFile& file);
+
+/// SHA-1 hex over the rendered shape — the pairing key between pre and
+/// post corpora (output file names are hashed, so pairing by name is
+/// impossible by design). Only pair mode needs it.
+std::string ShapeHash(const CanonicalFile& file);
 
 /// True for tokens of the anonymizer's hash alphabet: "h" + 10 lowercase
 /// hex digits.

@@ -1,11 +1,14 @@
 #include "audit/lint.h"
 
 #include <optional>
+#include <span>
 #include <string_view>
 
+#include "audit/tokenized.h"
 #include "junos/tokenizer.h"
 #include "net/ipv4.h"
 #include "net/special.h"
+#include "util/charscan.h"
 #include "util/strings.h"
 
 namespace confanon::audit {
@@ -106,30 +109,28 @@ std::optional<std::string> FindFusedAsnRun(std::string_view word) {
 }
 
 /// True when the source line is a hostname statement (IOS `hostname X`,
-/// JunOS `host-name X;`), giving the more specific AUD-R004 rule id.
+/// JunOS `host-name X;`), giving the more specific AUD-R004 rule id. The
+/// head is the line's first blank-separated word in either dialect.
 bool IsHostnameLine(std::string_view raw) {
-  const std::vector<std::string_view> words = util::SplitWords(raw);
-  if (words.empty()) return false;
-  const std::string head = util::ToLower(words[0]);
-  return head == "hostname" || head == "host-name";
+  const std::size_t begin = util::FindNonBlank(raw, 0);
+  const std::string_view head =
+      raw.substr(begin, util::FindBlank(raw, begin) - begin);
+  return EqualsLowercase(head, "hostname") ||
+         EqualsLowercase(head, "host-name");
 }
 
-void ScanIosFreeText(const config::ConfigFile& file,
-                     std::vector<Finding>& out) {
+void ScanIosFreeText(const TokenizedFile& text, std::vector<Finding>& out) {
+  const std::string& name = text.file().name();
   // Surviving banners are whole blocks of prose.
-  for (const config::LineRegion& region : config::FindBannerRegions(file)) {
+  for (const config::LineRegion& region : text.banners()) {
     out.push_back(Finding{
-        kRuleFreeText, Severity::kError,
-        Anchor{file.name(), region.begin}, Anchor{},
+        kRuleFreeText, Severity::kError, Anchor{name, region.begin}, Anchor{},
         "banner block survived anonymization (banners must be stripped)"});
   }
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    const std::vector<std::string_view> words =
-        util::SplitWords(file.lines()[index]);
+  for (std::size_t index = 0; index < text.line_count(); ++index) {
+    const std::span<const std::string_view> words = text.words(index);
     if (words.empty() || words[0].front() == '!') continue;
-    std::vector<std::string> lower;
-    lower.reserve(words.size());
-    for (const std::string_view word : words) lower.push_back(util::ToLower(word));
+    const std::span<const std::string_view> lower = text.lower(index);
 
     std::size_t payload_from = kNoPayload;
     if (lower[0] == "description" || lower[0] == "title") {
@@ -149,52 +150,45 @@ void ScanIosFreeText(const config::ConfigFile& file,
     }
     if (payload_from != kNoPayload && payload_from < words.size()) {
       out.push_back(Finding{
-          kRuleFreeText, Severity::kError, Anchor{file.name(), index},
-          Anchor{},
-          "free-text payload survived after '" + lower[payload_from - 1] +
-              "'"});
+          kRuleFreeText, Severity::kError, Anchor{name, index}, Anchor{},
+          "free-text payload survived after '" +
+              std::string(lower[payload_from - 1]) + "'"});
     }
   }
 }
 
-void ScanJunosFreeText(const config::ConfigFile& file,
-                       std::vector<Finding>& out) {
-  junos::JunosLine line;
-  bool in_block_comment = false;
-  for (std::size_t index = 0; index < file.lines().size(); ++index) {
-    const std::string_view raw = file.lines()[index];
-    const bool opens =
-        !in_block_comment && util::StartsWith(util::Trim(raw), "/*");
-    if (opens || in_block_comment) {
-      in_block_comment = raw.find("*/") == std::string::npos;
+void ScanJunosFreeText(const TokenizedFile& text, std::vector<Finding>& out) {
+  const std::string& name = text.file().name();
+  for (std::size_t index = 0; index < text.line_count(); ++index) {
+    if (text.kind(index) == TokenizedFile::LineKind::kBlockComment) {
       // A comment with content beyond the markers is surviving prose.
-      const std::string_view trimmed = util::Trim(raw);
-      if (trimmed != "/* */" && !util::SplitWords(trimmed).empty() &&
-          trimmed.size() > 4) {
+      const std::string_view trimmed = util::Trim(text.raw(index));
+      if (trimmed != "/* */" && trimmed.size() > 4) {
         out.push_back(Finding{kRuleFreeText, Severity::kError,
-                              Anchor{file.name(), index}, Anchor{},
+                              Anchor{name, index}, Anchor{},
                               "block comment content survived (expected a "
                               "bare '/* */' marker)"});
       }
       continue;
     }
-    junos::TokenizeJunosLineInto(raw, line);
-    for (std::size_t i = 0; i + 1 < line.tokens.size(); ++i) {
-      if (line.tokens[i].kind != junos::Token::Kind::kWord) continue;
-      const std::string keyword = util::ToLower(line.tokens[i].text);
+    const std::span<const junos::Token> tokens = text.tokens(index);
+    const std::span<const std::string_view> lower = text.lower(index);
+    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+      if (tokens[i].kind != junos::Token::Kind::kWord) continue;
+      const std::string_view keyword = lower[i];
       if (keyword != "description" && keyword != "message") continue;
-      const junos::Token& value = line.tokens[i + 1];
+      const junos::Token& value = tokens[i + 1];
       if (value.kind == junos::Token::Kind::kString && value.text != "\"\"") {
         out.push_back(Finding{
-            kRuleFreeText, Severity::kError, Anchor{file.name(), index},
-            Anchor{},
-            "free-text string survived after '" + keyword + "'"});
+            kRuleFreeText, Severity::kError, Anchor{name, index}, Anchor{},
+            "free-text string survived after '" + std::string(keyword) +
+                "'"});
       }
     }
-    if (!line.tokens.empty() &&
-        line.tokens.back().kind == junos::Token::Kind::kComment) {
+    if (!tokens.empty() &&
+        tokens.back().kind == junos::Token::Kind::kComment) {
       out.push_back(Finding{kRuleFreeText, Severity::kError,
-                            Anchor{file.name(), index}, Anchor{},
+                            Anchor{name, index}, Anchor{},
                             "trailing '#' comment survived anonymization"});
     }
   }
@@ -202,15 +196,16 @@ void ScanJunosFreeText(const config::ConfigFile& file,
 
 }  // namespace
 
-std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
+std::vector<Finding> LintFileResidue(const TokenizedFile& text,
                                      const CanonicalFile& canonical) {
+  const std::string& name = text.file().name();
   std::vector<Finding> out;
 
   // AUD-R001: free-text survivors, dialect-specific.
-  if (canonical.dialect == Dialect::kJunos) {
-    ScanJunosFreeText(file, out);
+  if (text.dialect() == Dialect::kJunos) {
+    ScanJunosFreeText(text, out);
   } else {
-    ScanIosFreeText(file, out);
+    ScanIosFreeText(text, out);
   }
 
   // Token-level rules ride on the canonical classification: every token
@@ -226,10 +221,10 @@ std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
           if (IsHashToken(key)) break;
           const bool hostname =
               line.source_line < canonical.source_line_count &&
-              IsHostnameLine(file.lines()[line.source_line]);
+              IsHostnameLine(text.raw(line.source_line));
           out.push_back(Finding{
               hostname ? kRuleHostnameResidue : kRulePassListFallthrough,
-              Severity::kError, Anchor{file.name(), line.source_line},
+              Severity::kError, Anchor{name, line.source_line},
               Anchor{},
               (hostname ? std::string("hostname '") : std::string("token '")) +
                   key +
@@ -241,13 +236,13 @@ std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
             if (!IsAddressToken(key)) {
               out.push_back(Finding{
                   kRuleEmbeddedAddress, Severity::kError,
-                  Anchor{file.name(), line.source_line}, Anchor{},
+                  Anchor{name, line.source_line}, Anchor{},
                   "token '" + key + "' embeds dotted-quad " + *quad});
             }
           } else if (const auto run = FindFusedAsnRun(key)) {
             out.push_back(Finding{
                 kRuleAsnInName, Severity::kWarning,
-                Anchor{file.name(), line.source_line}, Anchor{},
+                Anchor{name, line.source_line}, Anchor{},
                 "token '" + key + "' embeds ASN-like digit run " + *run});
           }
           break;

@@ -16,7 +16,6 @@
 
 #include "audit/canonical.h"
 #include "audit/finding.h"
-#include "config/document.h"
 
 namespace confanon::audit {
 
@@ -29,10 +28,10 @@ inline constexpr const char* kRulePassListFallthrough = "AUD-R005";
 inline constexpr const char* kRuleDanglingUse = "AUD-R006";
 inline constexpr const char* kRuleDeadDef = "AUD-R007";
 
-/// Runs rules AUD-R001..AUD-R005 over one file. `canonical` must be the
-/// Canonicalize() result for the same file (the fallthrough rule reuses
-/// its token classification).
-std::vector<Finding> LintFileResidue(const config::ConfigFile& file,
+/// Runs rules AUD-R001..AUD-R005 over one split file. `canonical` must
+/// be the Canonicalize() result for the same file (the fallthrough rule
+/// reuses its token classification).
+std::vector<Finding> LintFileResidue(const TokenizedFile& text,
                                      const CanonicalFile& canonical);
 
 }  // namespace confanon::audit

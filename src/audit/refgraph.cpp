@@ -1,15 +1,14 @@
 #include "audit/refgraph.h"
 
+#include <span>
 #include <string_view>
 
+#include "audit/tokenized.h"
 #include "junos/tokenizer.h"
-#include "util/strings.h"
 
 namespace confanon::audit {
 
 namespace {
-
-using util::ToLower;
 
 /// Keywords that can appear among `match community` / `set community`
 /// operands without being list names.
@@ -23,12 +22,9 @@ class IosRefExtractor {
  public:
   explicit IosRefExtractor(std::vector<RefEvent>& out) : out_(out) {}
 
-  void Line(std::string_view raw, std::uint32_t line_no) {
-    const std::vector<std::string_view> words = util::SplitWords(raw);
+  void Line(std::span<const std::string_view> words,
+            std::span<const std::string_view> lower, std::uint32_t line_no) {
     if (words.empty() || words[0].front() == '!') return;
-    std::vector<std::string> lower;
-    lower.reserve(words.size());
-    for (const std::string_view word : words) lower.push_back(ToLower(word));
     const auto emit = [&](SymbolSpace space, bool is_def,
                           std::string_view name) {
       out_.push_back(RefEvent{space, is_def, std::string(name), line_no});
@@ -165,24 +161,20 @@ class IosRefExtractor {
 
 /// JunOS extraction walks the brace structure: statements end at ';' (a
 /// leaf) or '{' (a block whose head keyword is pushed on the path stack).
+/// A statement can span lines; its words stay views into the file's
+/// TokenizedFile, which outlives the extractor.
 class JunosRefExtractor {
  public:
   explicit JunosRefExtractor(std::vector<RefEvent>& out) : out_(out) {}
 
-  void Line(std::string_view raw, std::uint32_t line_no) {
-    // Block comments span lines; no statement may start inside one.
-    const bool opens =
-        !in_block_comment_ && util::StartsWith(util::Trim(raw), "/*");
-    if (opens || in_block_comment_) {
-      in_block_comment_ = raw.find("*/") == std::string_view::npos;
-      return;
-    }
-    junos::TokenizeJunosLineInto(raw, line_buf_);
-    for (const junos::Token& token : line_buf_.tokens) {
+  void Line(std::span<const junos::Token> tokens,
+            std::span<const std::string_view> lower, std::uint32_t line_no) {
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      const junos::Token& token = tokens[i];
       switch (token.kind) {
         case junos::Token::Kind::kWord:
         case junos::Token::Kind::kString:
-          statement_.emplace_back(token.text);
+          statement_.push_back(Word{token.text, lower[i]});
           break;
         case junos::Token::Kind::kPunct:
           if (token.text == "{") {
@@ -209,18 +201,18 @@ class JunosRefExtractor {
 
   void OpenBlock(std::uint32_t line_no) {
     if (!statement_.empty()) {
-      const std::string head = ToLower(statement_[0]);
+      const std::string_view head = statement_[0].lower;
       if (head == "policy-statement" && statement_.size() >= 2) {
-        Emit(SymbolSpace::kRouteMap, true, statement_[1], line_no);
+        Emit(SymbolSpace::kRouteMap, true, statement_[1].text, line_no);
       } else if (head == "prefix-list" && statement_.size() >= 2) {
-        Emit(SymbolSpace::kPrefixList, true, statement_[1], line_no);
+        Emit(SymbolSpace::kPrefixList, true, statement_[1].text, line_no);
       } else if (head == "group" && statement_.size() >= 2) {
-        Emit(SymbolSpace::kPeerGroup, true, statement_[1], line_no);
+        Emit(SymbolSpace::kPeerGroup, true, statement_[1].text, line_no);
       } else if (statement_.size() == 1 && !path_.empty() &&
                  path_.back() == "interfaces") {
-        Emit(SymbolSpace::kInterface, true, statement_[0], line_no);
+        Emit(SymbolSpace::kInterface, true, statement_[0].text, line_no);
       }
-      path_.push_back(ToLower(statement_[0]));
+      path_.push_back(head);
     } else {
       path_.emplace_back();
     }
@@ -229,39 +221,43 @@ class JunosRefExtractor {
 
   void CloseStatement(std::uint32_t line_no) {
     if (statement_.empty()) return;
-    const std::string head = ToLower(statement_[0]);
+    const std::string_view head = statement_[0].lower;
     const auto& s = statement_;
     if (head == "import" || head == "export") {
       for (std::size_t i = 1; i < s.size(); ++i) {
-        if (s[i] == "[" || s[i] == "]") continue;
-        Emit(SymbolSpace::kRouteMap, false, s[i], line_no);
+        if (s[i].text == "[" || s[i].text == "]") continue;
+        Emit(SymbolSpace::kRouteMap, false, s[i].text, line_no);
       }
     } else if (head == "prefix-list" && s.size() >= 2) {
-      Emit(SymbolSpace::kPrefixList, false, s[1], line_no);
+      Emit(SymbolSpace::kPrefixList, false, s[1].text, line_no);
     } else if (head == "as-path") {
       if (s.size() >= 3) {
         // `as-path NAME "regex";` is a definition; `as-path NAME;` a use.
-        Emit(SymbolSpace::kAsPathList, true, s[1], line_no);
+        Emit(SymbolSpace::kAsPathList, true, s[1].text, line_no);
       } else if (s.size() == 2) {
-        Emit(SymbolSpace::kAsPathList, false, s[1], line_no);
+        Emit(SymbolSpace::kAsPathList, false, s[1].text, line_no);
       }
     } else if (head == "community" && s.size() >= 2) {
       bool has_members = false;
       for (std::size_t i = 2; i < s.size(); ++i) {
-        if (ToLower(s[i]) == "members") has_members = true;
+        if (s[i].lower == "members") has_members = true;
       }
-      Emit(SymbolSpace::kCommunityList, has_members, s[1], line_no);
+      Emit(SymbolSpace::kCommunityList, has_members, s[1].text, line_no);
     } else if (head == "interface" && s.size() >= 2) {
-      Emit(SymbolSpace::kInterface, false, s[1], line_no);
+      Emit(SymbolSpace::kInterface, false, s[1].text, line_no);
     }
     statement_.clear();
   }
 
+  struct Word {
+    std::string_view text;
+    std::string_view lower;
+  };
+
   std::vector<RefEvent>& out_;
-  junos::JunosLine line_buf_;
-  std::vector<std::string> statement_;
-  std::vector<std::string> path_;
-  bool in_block_comment_ = false;
+  std::vector<Word> statement_;
+  /// Lowercase head keyword of each open block.
+  std::vector<std::string_view> path_;
 };
 
 }  // namespace
@@ -290,27 +286,24 @@ const char* SymbolSpaceName(SymbolSpace space) {
   return "symbol";
 }
 
-std::vector<RefEvent> ExtractRefs(const config::ConfigFile& file,
-                                  Dialect dialect) {
+std::vector<RefEvent> ExtractRefs(const TokenizedFile& text) {
   std::vector<RefEvent> out;
-  if (dialect == Dialect::kJunos) {
+  if (text.dialect() == Dialect::kJunos) {
+    // Block comments span lines; no statement may start inside one.
     JunosRefExtractor extractor(out);
-    for (std::size_t i = 0; i < file.lines().size(); ++i) {
-      extractor.Line(file.lines()[i], static_cast<std::uint32_t>(i));
+    for (std::size_t i = 0; i < text.line_count(); ++i) {
+      if (text.kind(i) == TokenizedFile::LineKind::kBlockComment) continue;
+      extractor.Line(text.tokens(i), text.lower(i),
+                     static_cast<std::uint32_t>(i));
     }
   } else {
     // Banner bodies are free prose and are dropped by the anonymizer;
     // skipping them keeps pre and post event sequences comparable.
-    std::vector<bool> in_banner(file.lines().size(), false);
-    for (const config::LineRegion& region : config::FindBannerRegions(file)) {
-      for (std::size_t i = region.begin; i < region.end; ++i) {
-        in_banner[i] = true;
-      }
-    }
     IosRefExtractor extractor(out);
-    for (std::size_t i = 0; i < file.lines().size(); ++i) {
-      if (in_banner[i]) continue;
-      extractor.Line(file.lines()[i], static_cast<std::uint32_t>(i));
+    for (std::size_t i = 0; i < text.line_count(); ++i) {
+      if (text.kind(i) != TokenizedFile::LineKind::kText) continue;
+      extractor.Line(text.words(i), text.lower(i),
+                     static_cast<std::uint32_t>(i));
     }
   }
   return out;

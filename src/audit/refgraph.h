@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "audit/canonical.h"
-#include "config/document.h"
 
 namespace confanon::audit {
 
@@ -49,8 +48,7 @@ struct RefEvent {
   std::uint32_t line = 0;  // zero-based source line
 };
 
-/// Extracts the def/use event sequence of one file.
-std::vector<RefEvent> ExtractRefs(const config::ConfigFile& file,
-                                  Dialect dialect);
+/// Extracts the def/use event sequence of one split file.
+std::vector<RefEvent> ExtractRefs(const TokenizedFile& text);
 
 }  // namespace confanon::audit

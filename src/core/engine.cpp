@@ -51,13 +51,10 @@ std::vector<config::ConfigFile> AnonymizerEngine::AnonymizeNetwork(
     preload_span.AddArg("phase", "preload");
     std::vector<net::Ipv4Address> addresses;
     for (const config::ConfigFile& file : files) {
-      traits_.collect_addresses(file, addresses);
+      CollectPreload(file, addresses);
     }
     preload_span.AddArg("addresses",
                         static_cast<std::int64_t>(addresses.size()));
-    if (traits_.preload_rule != nullptr) {
-      report_.CountRule(traits_.preload_rule, addresses.size());
-    }
     state_->ip.Preload(std::move(addresses));
     state_->preloaded.store(true, std::memory_order_release);
   }
@@ -78,10 +75,7 @@ config::ConfigFile AnonymizerEngine::AnonymizeFile(
   // corpus preload already ran and this is skipped.
   if (preload_enabled_ && !state_->preloaded.load(std::memory_order_acquire)) {
     std::vector<net::Ipv4Address> addresses;
-    traits_.collect_addresses(file, addresses);
-    if (traits_.preload_rule != nullptr) {
-      report_.CountRule(traits_.preload_rule, addresses.size());
-    }
+    CollectPreload(file, addresses);
     state_->ip.Preload(std::move(addresses));
   }
   BeginFile(file);
@@ -143,6 +137,16 @@ config::ConfigFile AnonymizerEngine::AnonymizeFile(
     out_name = state_->hasher.Hash(out_name);
   }
   return config::ConfigFile(out_name, std::move(out_lines));
+}
+
+void AnonymizerEngine::CollectPreload(const config::ConfigFile& file,
+                                      std::vector<net::Ipv4Address>& out) {
+  if (!preload_enabled_) return;
+  const std::size_t before = out.size();
+  traits_.collect_addresses(file, out);
+  if (traits_.preload_rule != nullptr) {
+    report_.CountRule(traits_.preload_rule, out.size() - before);
+  }
 }
 
 void AnonymizerEngine::ObserveLine(

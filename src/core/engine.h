@@ -91,6 +91,15 @@ class AnonymizerEngine {
   /// holds at least file-locally.
   config::ConfigFile AnonymizeFile(const config::ConfigFile& file);
 
+  /// The address preload's operand for one file: when this engine's
+  /// dialect preloads (JunOS always, IOS unless rule I7 is disabled),
+  /// appends the file's addresses to `out` and counts them under the
+  /// traits' preload rule in this engine's report. AnonymizeNetwork,
+  /// standalone AnonymizeFile and the corpus pipeline all collect their
+  /// preload through this call.
+  void CollectPreload(const config::ConfigFile& file,
+                      std::vector<net::Ipv4Address>& out);
+
   /// Writes the anonymized groupings of declared known entities
   /// (paper Section 5); writes nothing when none were declared.
   virtual void ExportKnownEntities(std::ostream& /*out*/) {}

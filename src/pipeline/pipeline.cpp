@@ -90,58 +90,42 @@ core::ConfigDialect CorpusPipeline::ResolveDialect(
                                                : dialect;
 }
 
-void CorpusPipeline::PreloadCorpus(
-    const std::vector<config::ConfigFile>& files,
-    const std::vector<core::ConfigDialect>& dialects) {
-  core::NetworkState& state = *session_->state();
-  // Every call preloads its own corpus: Preload is idempotent per
-  // address, and a per-request preload is exactly what the standalone
-  // streaming AnonymizeFile path does, which keeps request streams
-  // byte-identical to it.
-  const bool i7_enabled = !context_->options().base.disabled_rules.contains(
-      core::rules::kSubnetPreload);
-
-  // JunOS files always contribute (the JunOS engine preloads
-  // unconditionally — its rule pack has no toggles); IOS files
-  // contribute under rule I7, with the sequential engine's accounting.
-  std::vector<net::Ipv4Address> addresses;
-  std::size_t ios_count = 0;
-  bool any_ios = false;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (dialects[i] == core::ConfigDialect::kJunos) {
-      junos::JunosAnonymizer::CollectFileAddresses(files[i], addresses);
-    } else if (i7_enabled) {
-      any_ios = true;
-      const std::size_t before = addresses.size();
-      core::Anonymizer::CollectFileAddresses(files[i], addresses);
-      ios_count += addresses.size() - before;
-    }
-  }
-  if (i7_enabled && any_ios) {
-    report_.CountRule(core::rules::kSubnetPreload, ios_count);
-    if (hooks_.metrics != nullptr) {
-      hooks_.metrics
-          ->CounterNamed(std::string("rule.") + core::rules::kSubnetPreload)
-          .Add(ios_count);
-    }
-  }
-  state.ip.Preload(std::move(addresses));
-  state.preloaded.store(true, std::memory_order_release);
-}
-
 std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
     const std::vector<config::ConfigFile>& files) {
-  std::vector<core::ConfigDialect> dialects(files.size());
+  // With rule I7 disabled, IOS addresses enter the trie on demand during
+  // file processing — an order-dependent operation. Fall back to one
+  // worker so the output still matches the sequential engine exactly.
+  const bool i7_enabled = !context_->options().base.disabled_rules.contains(
+      core::rules::kSubnetPreload);
+  const int threads = i7_enabled ? ResolveThreads(files.size()) : 1;
+  std::vector<std::unique_ptr<EngineWorker>> workers;
+  workers.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    workers.push_back(std::make_unique<EngineWorker>(*context_, *session_));
+  }
 
   // Phase 1: dialect routing + corpus-wide preload. All RNG consumption
-  // happens here; phase 2 only reads the trie's memo.
+  // happens here; phase 2 only reads the trie's memo. Each file's engine
+  // decides whether the file contributes and what it counts
+  // (core::AnonymizerEngine::CollectPreload): JunOS files always, IOS
+  // files under rule I7, counted in the first worker's report, which the
+  // join merges. Every call preloads its own corpus: Preload is
+  // idempotent per address, and a per-request preload is exactly what
+  // the standalone streaming AnonymizeFile path does, which keeps
+  // request streams byte-identical to it.
+  std::vector<core::ConfigDialect> dialects(files.size());
   {
     obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_,
                                           "preload");
+    std::vector<net::Ipv4Address> addresses;
     for (std::size_t i = 0; i < files.size(); ++i) {
       dialects[i] = ResolveDialect(files[i]);
+      workers.front()->ForDialect(dialects[i]).CollectPreload(files[i],
+                                                              addresses);
     }
-    PreloadCorpus(files, dialects);
+    core::NetworkState& state = *session_->state();
+    state.ip.Preload(std::move(addresses));
+    state.preloaded.store(true, std::memory_order_release);
   }
 
   // Per-file provenance buffers, merged in corpus order at join so the
@@ -149,20 +133,7 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
   const bool collect_provenance = hooks_.provenance != nullptr;
   std::vector<obs::ProvenanceLog> file_provenance(
       collect_provenance ? files.size() : 0);
-
-  // With rule I7 disabled, IOS addresses enter the trie on demand during
-  // file processing — an order-dependent operation. Fall back to one
-  // worker so the output still matches the sequential engine exactly.
-  const bool i7_enabled = !context_->options().base.disabled_rules.contains(
-      core::rules::kSubnetPreload);
-  const int threads = i7_enabled ? ResolveThreads(files.size()) : 1;
   std::vector<config::ConfigFile> out(files.size());
-
-  std::vector<std::unique_ptr<EngineWorker>> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.push_back(std::make_unique<EngineWorker>(*context_, *session_));
-  }
 
   // Phase 2: parallel per-file anonymization. The phase window spans the
   // whole pool (open while any worker runs); at threads <= 1 RunWorkers

@@ -121,13 +121,6 @@ class CorpusPipeline {
   int ResolveThreads(std::size_t file_count) const;
   core::ConfigDialect ResolveDialect(const config::ConfigFile& file) const;
 
-  /// Corpus-wide rule I7: collect every file's addresses with the
-  /// dialect-appropriate tokenizer and preload the shared trie. Runs once
-  /// per AnonymizeCorpus call (streaming requests each preload their own
-  /// file set).
-  void PreloadCorpus(const std::vector<config::ConfigFile>& files,
-                     const std::vector<core::ConfigDialect>& dialects);
-
   std::shared_ptr<const core::ServiceContext> context_;
   std::shared_ptr<core::Session> session_;
   core::AnonymizationReport report_;
