@@ -7,7 +7,15 @@
 // up here as a byte diff, not a statistics change. The Hooked variants
 // install a metrics registry, a JSONL trace sink and a provenance log,
 // which routes every line through the engines' ObserveLine wrapper; the
-// expected bytes are the same.
+// expected bytes are the same. They also compare what the hooks record
+// with tests/data/golden/report/, one file set per mode that both
+// thread counts share:
+//   <mode>.report.json       the merged report's ToJson();
+//   <mode>.report.txt        its ToString();
+//   <mode>.counters.txt      the report.*, rule.*, junos.report.* and
+//                            junos.rule.* counters of the registry
+//                            snapshot, one "name value" line each;
+//   <mode>.provenance.jsonl  the provenance log's WriteJsonl().
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
@@ -52,6 +60,30 @@ std::vector<config::ConfigFile> LoadCorpus(const std::filesystem::path& dir) {
   return files;
 }
 
+void ExpectGoldenBytes(const std::string& leaf, const std::string& actual) {
+  const std::filesystem::path golden = GoldenDir("report") / leaf;
+  std::string error;
+  const auto expected = util::ReadFileFully(golden.string(), &error);
+  ASSERT_TRUE(expected.has_value()) << error;
+  EXPECT_EQ(actual, *expected) << "byte drift vs " << golden.string();
+}
+
+/// The registry's report and rule counters of both dialects, one
+/// "name value" line each in snapshot (name) order.
+std::string ReportCounters(const obs::RunMetrics& snapshot) {
+  std::string out;
+  for (const auto& [name, value] : snapshot.counters) {
+    for (const char* prefix :
+         {"report.", "rule.", "junos.report.", "junos.rule."}) {
+      if (name.starts_with(prefix)) {
+        out += name + " " + std::to_string(value) + "\n";
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 void CheckGolden(const std::string& mode, int threads, bool hooked = false) {
   SCOPED_TRACE("mode=" + mode + " threads=" + std::to_string(threads) +
                (hooked ? " hooked" : ""));
@@ -89,6 +121,13 @@ void CheckGolden(const std::string& mode, int threads, bool hooked = false) {
     EXPECT_EQ(observed_lines, input_lines);
     EXPECT_GT(trace.event_count(), 0u);
     EXPECT_FALSE(provenance.empty());
+
+    ExpectGoldenBytes(mode + ".report.json", pipeline.report().ToJson() + "\n");
+    ExpectGoldenBytes(mode + ".report.txt", pipeline.report().ToString());
+    ExpectGoldenBytes(mode + ".counters.txt", ReportCounters(snapshot));
+    std::ostringstream provenance_out;
+    provenance.WriteJsonl(provenance_out);
+    ExpectGoldenBytes(mode + ".provenance.jsonl", provenance_out.str());
   }
 
   const std::filesystem::path post = GoldenDir("post-" + mode);
