@@ -17,6 +17,7 @@
 // fraction of structure destroyed (words hashed) rises.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,33 +33,33 @@ namespace {
 using namespace confanon;
 
 /// The operator oracle: which rule would handle this leaking line?
-const char* RuleForLine(const std::string& line) {
+std::optional<core::Rule> RuleForLine(const std::string& line) {
   const std::string lower = util::ToLower(line);
   if (lower.find("as-path access-list") != std::string::npos) {
-    return core::rules::kAsPathRegex;
+    return core::Rule::kAsPathRegex;
   }
   if (lower.find("community-list") != std::string::npos) {
-    return core::rules::kCommunityListRegex;
+    return core::Rule::kCommunityListRegex;
   }
   if (lower.find("set community") != std::string::npos) {
-    return core::rules::kSetCommunity;
+    return core::Rule::kSetCommunity;
   }
   if (lower.find("confederation") != std::string::npos) {
-    return core::rules::kConfedPeers;
+    return core::Rule::kConfedPeers;
   }
   if (lower.find("router bgp") != std::string::npos) {
-    return core::rules::kRouterBgp;
+    return core::Rule::kRouterBgp;
   }
   if (lower.find("remote-as") != std::string::npos) {
-    return core::rules::kNeighborRemoteAs;
+    return core::Rule::kNeighborRemoteAs;
   }
   if (lower.find("dialer") != std::string::npos) {
-    return core::rules::kDialerStrings;
+    return core::Rule::kDialerStrings;
   }
   if (lower.find("snmp") != std::string::npos) {
-    return core::rules::kSnmpStrings;
+    return core::Rule::kSnmpStrings;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -84,11 +85,13 @@ int main() {
   std::size_t total_lines = 0;
   for (const auto& file : pre) total_lines += file.LineCount();
 
-  std::set<std::string> disabled = {
-      core::rules::kRouterBgp,       core::rules::kAsPathRegex,
-      core::rules::kCommunityListRegex, core::rules::kSetCommunity,
-      core::rules::kConfedPeers,     core::rules::kSnmpStrings,
-  };
+  std::set<std::string> disabled;
+  for (const core::Rule rule :
+       {core::Rule::kRouterBgp, core::Rule::kAsPathRegex,
+        core::Rule::kCommunityListRegex, core::Rule::kSetCommunity,
+        core::Rule::kConfedPeers, core::Rule::kSnmpStrings}) {
+    disabled.emplace(core::RuleName(rule));
+  }
 
   std::printf("== ITER: leak-closure iteration (paper Section 6.1) ==\n");
   std::printf("corpus: %zu files, %zu lines; starting with %zu rules "
@@ -115,10 +118,12 @@ int main() {
     std::set<std::string> to_enable;
     std::size_t actionable = 0;
     for (const auto& finding : findings) {
-      const char* rule = RuleForLine(finding.line);
-      if (rule != nullptr && disabled.contains(rule)) {
+      const std::optional<core::Rule> rule = RuleForLine(finding.line);
+      if (!rule) continue;
+      std::string name(core::RuleName(*rule));
+      if (disabled.contains(name)) {
         ++actionable;
-        to_enable.insert(rule);
+        to_enable.insert(std::move(name));
       }
     }
     residual_actionable = actionable;

@@ -4,7 +4,7 @@
 // anonymizes a network, and shows the grep-back highlighter catching the
 // survivors — the workflow the paper used to converge on its 28 rules.
 #include <iostream>
-#include <set>
+#include <vector>
 
 #include "core/anonymizer.h"
 #include "core/leak_detector.h"
@@ -23,21 +23,23 @@ int main() {
 
   struct Scenario {
     const char* label;
-    std::set<std::string> disabled;
+    std::vector<core::Rule> disabled;
   };
   const Scenario scenarios[] = {
       {"full rule set", {}},
-      {"A1 router-bgp disabled", {core::rules::kRouterBgp}},
-      {"A6 as-path-regex disabled", {core::rules::kAsPathRegex}},
+      {"A1 router-bgp disabled", {core::Rule::kRouterBgp}},
+      {"A6 as-path-regex disabled", {core::Rule::kAsPathRegex}},
       {"A1+A6+A10 disabled",
-       {core::rules::kRouterBgp, core::rules::kAsPathRegex,
-        core::rules::kSetCommunity}},
+       {core::Rule::kRouterBgp, core::Rule::kAsPathRegex,
+        core::Rule::kSetCommunity}},
   };
 
   for (const Scenario& scenario : scenarios) {
     core::AnonymizerOptions options;
     options.salt = "audit-salt";
-    options.disabled_rules = scenario.disabled;
+    for (const core::Rule rule : scenario.disabled) {
+      options.disabled_rules.emplace(core::RuleName(rule));
+    }
     core::Anonymizer anonymizer(std::move(options));
     const auto post = anonymizer.AnonymizeNetwork(pre);
     const auto findings =

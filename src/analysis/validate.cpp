@@ -2,7 +2,6 @@
 
 #include "analysis/characteristics.h"
 #include "analysis/design_extract.h"
-#include "config/tokenizer.h"
 #include "net/special.h"
 
 namespace confanon::analysis {
@@ -26,14 +25,7 @@ ValidationResult ValidateNetwork(const std::vector<config::ConfigFile>& pre,
     // Replicates the anonymizer's word policy: a word survives iff all of
     // its alphabetic segments are pass-listed; hostnames never are in
     // practice (and are force-hashed by rule M4 regardless).
-    bool passes = true;
-    for (const config::Segment& segment : config::SegmentWord(name)) {
-      if (segment.alpha && !anonymizer.pass_list().Contains(segment.text)) {
-        passes = false;
-        break;
-      }
-    }
-    if (passes) return name;
+    if (anonymizer.pass_list().PassesWord(name)) return name;
     return anonymizer.string_hasher().Hash(name);
   };
   const auto addr_map = [&](net::Ipv4Address address) {

@@ -1,6 +1,7 @@
 #include "core/anonymizer.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "config/tokenizer.h"
 #include "core/session.h"
@@ -66,7 +67,7 @@ constexpr DialectTraits kIosTraits{
     .timing_prefix = "core.",
     .network_span = "anonymize-network",
     .preload_span = "preload.I7",
-    .preload_rule = rules::kSubnetPreload,
+    .preload_rule = Rule::kSubnetPreload,
     .collect_addresses = &Anonymizer::CollectFileAddresses,
 };
 
@@ -107,41 +108,8 @@ Anonymizer::Anonymizer(AnonymizerOptions options,
                        std::shared_ptr<NetworkState> state)
     : AnonymizerEngine(
           kIosTraits, options.salt, options.pass_list, options.extra_pass_list,
-          std::move(state),
-          !options.disabled_rules.contains(rules::kSubnetPreload)),
-      options_(std::move(options)),
-      enabled_{} {
-  const auto on = [&](const char* name) {
-    return !options_.disabled_rules.contains(name);
-  };
-  enabled_.segment_words = on(rules::kSegmentWords);
-  enabled_.passlist_hash = on(rules::kPasslistHash);
-  enabled_.strip_bang_comments = on(rules::kStripBangComments);
-  enabled_.strip_free_text = on(rules::kStripFreeText);
-  enabled_.strip_banners = on(rules::kStripBanners);
-  enabled_.dialer_strings = on(rules::kDialerStrings);
-  enabled_.snmp_strings = on(rules::kSnmpStrings);
-  enabled_.secrets = on(rules::kSecrets);
-  enabled_.name_arguments = on(rules::kNameArguments);
-  enabled_.router_bgp = on(rules::kRouterBgp);
-  enabled_.neighbor_remote_as = on(rules::kNeighborRemoteAs);
-  enabled_.neighbor_local_as = on(rules::kNeighborLocalAs);
-  enabled_.confed_identifier = on(rules::kConfedIdentifier);
-  enabled_.confed_peers = on(rules::kConfedPeers);
-  enabled_.aspath_regex = on(rules::kAsPathRegex);
-  enabled_.aspath_prepend = on(rules::kAsPathPrepend);
-  enabled_.community_list_literal = on(rules::kCommunityListLiteral);
-  enabled_.community_list_regex = on(rules::kCommunityListRegex);
-  enabled_.set_community = on(rules::kSetCommunity);
-  enabled_.set_extcommunity = on(rules::kSetExtcommunity);
-  enabled_.asn_audit = on(rules::kAsnAudit);
-  enabled_.map_addresses = on(rules::kMapAddresses);
-  enabled_.special_passthrough = on(rules::kSpecialPassthrough);
-  enabled_.map_prefixes = on(rules::kMapPrefixes);
-  enabled_.address_mask_pairs = on(rules::kAddressMaskPairs);
-  enabled_.address_wildcard_pairs = on(rules::kAddressWildcardPairs);
-  enabled_.plain_address_args = on(rules::kPlainAddressArgs);
-}
+          std::move(state), RuleSetFromNames(options.disabled_rules)),
+      options_(std::move(options)) {}
 
 void Anonymizer::CollectFileAddresses(const config::ConfigFile& file,
                                       std::vector<net::Ipv4Address>& out) {
@@ -163,13 +131,7 @@ void Anonymizer::CollectHashCandidates(const config::ConfigFile& file,
                                        std::vector<std::string_view>& out) {
   for (const std::string_view line : file.lines()) {
     for (std::string_view word : util::SplitWords(line)) {
-      if (word.empty() || config::IsNonAlphabetic(word)) continue;
-      for (const config::Segment& segment : config::SegmentWord(word)) {
-        if (segment.alpha && !pass_list.Contains(segment.text)) {
-          out.push_back(word);
-          break;
-        }
-      }
+      if (!pass_list.PassesWord(word)) out.push_back(word);
     }
   }
 }
@@ -177,7 +139,7 @@ void Anonymizer::CollectHashCandidates(const config::ConfigFile& file,
 void Anonymizer::BeginFile(const config::ConfigFile& file) {
   in_banner_.assign(file.lines().size(), false);
   banner_start_.assign(file.lines().size(), false);
-  if (!options_.strip_comments || !enabled_.strip_banners) return;
+  if (!options_.strip_comments || !Enabled(Rule::kStripBanners)) return;
   for (const config::LineRegion& region : FindBannerRegions(file)) {
     for (std::size_t i = region.begin; i < region.end; ++i) {
       in_banner_[i] = true;
@@ -200,7 +162,7 @@ void Anonymizer::AnonymizeLine(const config::ConfigFile& file,
     // Rule C3: the whole banner block is a comment; drop it, leaving a
     // bare '!' where it started so the block boundary stays visible.
     report_.comment_words_removed += ctx.tokens.words.size();
-    report_.CountRule(rules::kStripBanners);
+    Fire(Rule::kStripBanners);
     if (banner_start_[index]) out_lines.push_back("!");
     return;
   }
@@ -241,7 +203,7 @@ void Anonymizer::ApplyWordPasses(LineCtx& ctx) {
 }
 
 bool Anonymizer::ApplyCommentRules(std::string_view line) {
-  if (!options_.strip_comments || !enabled_.strip_bang_comments) {
+  if (!options_.strip_comments || !Enabled(Rule::kStripBangComments)) {
     return true;
   }
   // Rule C1: '!' full-line comments. A bare '!' is a section separator and
@@ -249,7 +211,7 @@ bool Anonymizer::ApplyCommentRules(std::string_view line) {
   const config::SplitLine split = config::SplitConfigLine(line);
   if (!split.words.empty() && split.words[0].front() == '!') {
     if (split.words.size() > 1 || split.words[0].size() > 1) {
-      report_.CountRule(rules::kStripBangComments);
+      Fire(Rule::kStripBangComments);
       return false;  // caller replaces with bare "!"
     }
   }
@@ -257,7 +219,7 @@ bool Anonymizer::ApplyCommentRules(std::string_view line) {
 }
 
 void Anonymizer::ApplyFreeTextRules(LineCtx& ctx) {
-  if (!options_.strip_comments || !enabled_.strip_free_text) return;
+  if (!options_.strip_comments || !Enabled(Rule::kStripFreeText)) return;
   if (ctx.tokens.words.empty()) return;
   const std::vector<std::string_view>& lower = ctx.lower;
 
@@ -282,7 +244,7 @@ void Anonymizer::ApplyFreeTextRules(LineCtx& ctx) {
   if (payload_from != std::string::npos &&
       payload_from < ctx.tokens.words.size()) {
     report_.comment_words_removed += ctx.tokens.words.size() - payload_from;
-    report_.CountRule(rules::kStripFreeText);
+    Fire(Rule::kStripFreeText);
     ctx.TruncateWords(payload_from);
   }
 }
@@ -300,11 +262,11 @@ std::string Anonymizer::MapAsnWord(std::string_view word) {
 }
 
 void Anonymizer::RecordAsn(std::uint32_t asn) {
-  if (asn::IsPublicAsn(asn) && enabled_.asn_audit) {
+  if (asn::IsPublicAsn(asn) && Enabled(Rule::kAsnAudit)) {
     // Rule A12: remember every public ASN seen so the leak detector can
     // grep the anonymized output for survivors (Section 6.1).
     leak_record_.public_asns.insert(std::to_string(asn));
-    report_.CountRule(rules::kAsnAudit);
+    Fire(Rule::kAsnAudit);
   }
 }
 
@@ -313,48 +275,43 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
   if (words.empty()) return;
   const std::vector<std::string_view>& lower = ctx.lower;
   auto& handled = ctx.handled;
-  const auto mark = [&](std::size_t i) { handled[i] = true; };
+  // Maps every all-digit word in [from, to) as an ASN, then counts `rule`.
+  const auto map_asns = [&](Rule rule, std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      if (!util::IsAllDigits(words[i])) continue;
+      ctx.SetWord(i, MapAsnWord(words[i]));
+      handled[i] = true;
+    }
+    Fire(rule);
+  };
 
   // Rule A1: `router bgp <asn>`.
-  if (enabled_.router_bgp && words.size() >= 3 && lower[0] == "router" &&
-      lower[1] == "bgp" && util::IsAllDigits(words[2])) {
-    ctx.SetWord(2, MapAsnWord(words[2]));
-    mark(2);
-    report_.CountRule(rules::kRouterBgp);
+  if (Enabled(Rule::kRouterBgp) && words.size() >= 3 &&
+      lower[0] == "router" && lower[1] == "bgp" &&
+      util::IsAllDigits(words[2])) {
+    map_asns(Rule::kRouterBgp, 2, 3);
     return;
   }
 
   // Rules A2/A3: `neighbor <peer> remote-as|local-as <asn>`.
   if (words.size() >= 4 && lower[0] == "neighbor") {
-    if (enabled_.neighbor_remote_as && lower[2] == "remote-as" &&
+    if (Enabled(Rule::kNeighborRemoteAs) && lower[2] == "remote-as" &&
         util::IsAllDigits(words[3])) {
-      ctx.SetWord(3, MapAsnWord(words[3]));
-      mark(3);
-      report_.CountRule(rules::kNeighborRemoteAs);
-    } else if (enabled_.neighbor_local_as && lower[2] == "local-as" &&
+      map_asns(Rule::kNeighborRemoteAs, 3, 4);
+    } else if (Enabled(Rule::kNeighborLocalAs) && lower[2] == "local-as" &&
                util::IsAllDigits(words[3])) {
-      ctx.SetWord(3, MapAsnWord(words[3]));
-      mark(3);
-      report_.CountRule(rules::kNeighborLocalAs);
+      map_asns(Rule::kNeighborLocalAs, 3, 4);
     }
     return;
   }
 
   // Rules A4/A5: confederation identifier / peer list.
   if (words.size() >= 4 && lower[0] == "bgp" && lower[1] == "confederation") {
-    if (enabled_.confed_identifier && lower[2] == "identifier" &&
+    if (Enabled(Rule::kConfedIdentifier) && lower[2] == "identifier" &&
         util::IsAllDigits(words[3])) {
-      ctx.SetWord(3, MapAsnWord(words[3]));
-      mark(3);
-      report_.CountRule(rules::kConfedIdentifier);
-    } else if (enabled_.confed_peers && lower[2] == "peers") {
-      for (std::size_t i = 3; i < words.size(); ++i) {
-        if (util::IsAllDigits(words[i])) {
-          ctx.SetWord(i, MapAsnWord(words[i]));
-          mark(i);
-        }
-      }
-      report_.CountRule(rules::kConfedPeers);
+      map_asns(Rule::kConfedIdentifier, 3, 4);
+    } else if (Enabled(Rule::kConfedPeers) && lower[2] == "peers") {
+      map_asns(Rule::kConfedPeers, 3, words.size());
     }
     return;
   }
@@ -362,7 +319,7 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
   // Rule A6: `ip as-path access-list <n> permit|deny <regex...>`. The
   // regex is the remainder of the line (it can contain spaces) and is
   // rewritten by language computation.
-  if (enabled_.aspath_regex && words.size() >= 5 && lower[0] == "ip" &&
+  if (Enabled(Rule::kAsPathRegex) && words.size() >= 5 && lower[0] == "ip" &&
       lower[1] == "as-path" && lower[2] == "access-list" &&
       (lower[4] == "permit" || lower[4] == "deny")) {
     const std::string pattern = JoinTail(ctx.tokens, 5);
@@ -385,7 +342,7 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
         // pass-listed or numeric).
         ctx.ReplaceTailWith(5, result.pattern);
         ++report_.aspath_regexps_rewritten;
-        report_.CountRule(rules::kAsPathRegex);
+        Fire(Rule::kAsPathRegex);
       } else {
         // Mark regex words handled so generic hashing leaves them alone.
         for (std::size_t i = 5; i < handled.size(); ++i) handled[i] = true;
@@ -395,15 +352,9 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
   }
 
   // Rule A7: `set as-path prepend <asn> <asn> ...`.
-  if (enabled_.aspath_prepend && words.size() >= 4 && lower[0] == "set" &&
-      lower[1] == "as-path" && lower[2] == "prepend") {
-    for (std::size_t i = 3; i < words.size(); ++i) {
-      if (util::IsAllDigits(words[i])) {
-        ctx.SetWord(i, MapAsnWord(words[i]));
-        mark(i);
-      }
-    }
-    report_.CountRule(rules::kAsPathPrepend);
+  if (Enabled(Rule::kAsPathPrepend) && words.size() >= 4 &&
+      lower[0] == "set" && lower[1] == "as-path" && lower[2] == "prepend") {
+    map_asns(Rule::kAsPathPrepend, 3, words.size());
     return;
   }
 
@@ -421,15 +372,15 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
       for (std::size_t i = action + 1; i < words.size(); ++i) {
         if (IsCommunityKeyword(lower[i])) continue;
         const auto literal = asn::ParseCommunity(words[i]);
-        if (literal && enabled_.community_list_literal) {
+        if (literal && Enabled(Rule::kCommunityListLiteral)) {
           RecordAsn(literal->asn);
           ctx.SetWord(i, state_->community.Map(*literal).ToString());
-          mark(i);
+          handled[i] = true;
           ++report_.communities_mapped;
           any_literal = true;
           continue;
         }
-        if (!literal && enabled_.community_list_regex) {
+        if (!literal && Enabled(Rule::kCommunityListRegex)) {
           // Expanded community-list: the remainder is one regex.
           const std::string pattern = JoinTail(ctx.tokens, i);
           asn::RewriteResult result;
@@ -444,7 +395,7 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
           if (result.changed) {
             ctx.ReplaceTailWith(i, result.pattern);
             ++report_.community_regexps_rewritten;
-            report_.CountRule(rules::kCommunityListRegex);
+            Fire(Rule::kCommunityListRegex);
           } else {
             for (std::size_t j = i; j < handled.size(); ++j) {
               handled[j] = true;
@@ -453,13 +404,13 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
           break;
         }
       }
-      if (any_literal) report_.CountRule(rules::kCommunityListLiteral);
+      if (any_literal) Fire(Rule::kCommunityListLiteral);
     }
     return;
   }
 
   // Rule A10: `set community <c> <c> ... [additive]`.
-  if (enabled_.set_community && words.size() >= 3 && lower[0] == "set" &&
+  if (Enabled(Rule::kSetCommunity) && words.size() >= 3 && lower[0] == "set" &&
       lower[1] == "community") {
     bool fired = false;
     for (std::size_t i = 2; i < words.size(); ++i) {
@@ -467,7 +418,7 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
       if (const auto literal = asn::ParseCommunity(words[i])) {
         RecordAsn(literal->asn);
         ctx.SetWord(i, state_->community.Map(*literal).ToString());
-        mark(i);
+        handled[i] = true;
         ++report_.communities_mapped;
         fired = true;
       } else if (util::IsAllDigits(words[i])) {
@@ -482,30 +433,30 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
               (static_cast<std::uint64_t>(state_->asn_map.Map(high)) << 16) |
               state_->community_values.Map(low);
           ctx.SetWord(i, std::to_string(mapped));
-          mark(i);
+          handled[i] = true;
           ++report_.communities_mapped;
           fired = true;
         }
       }
     }
-    if (fired) report_.CountRule(rules::kSetCommunity);
+    if (fired) Fire(Rule::kSetCommunity);
     return;
   }
 
   // Rule A11: `set extcommunity rt|soo <asn:val> ...`.
-  if (enabled_.set_extcommunity && words.size() >= 4 && lower[0] == "set" &&
-      lower[1] == "extcommunity") {
+  if (Enabled(Rule::kSetExtcommunity) && words.size() >= 4 &&
+      lower[0] == "set" && lower[1] == "extcommunity") {
     bool fired = false;
     for (std::size_t i = 3; i < words.size(); ++i) {
       if (const auto literal = asn::ParseCommunity(words[i])) {
         RecordAsn(literal->asn);
         ctx.SetWord(i, state_->community.Map(*literal).ToString());
-        mark(i);
+        handled[i] = true;
         ++report_.communities_mapped;
         fired = true;
       }
     }
-    if (fired) report_.CountRule(rules::kSetExtcommunity);
+    if (fired) Fire(Rule::kSetExtcommunity);
     return;
   }
 }
@@ -549,7 +500,7 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
   const std::vector<std::string_view>& lower = ctx.lower;
   auto& handled = ctx.handled;
 
-  const auto force_hash = [&](std::size_t i, const char* rule) {
+  const auto force_hash = [&](std::size_t i, Rule rule) {
     if (i >= words.size() || handled[i]) return;
     if (!pass_list_->Contains(words[i])) {
       leak_record_.hashed_words.insert(std::string(words[i]));
@@ -557,25 +508,25 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
     HashWord(ctx, i);
     handled[i] = true;
     ++report_.words_hashed;
-    report_.CountRule(rule);
+    Fire(rule);
   };
 
   // Rule M1: dial strings are phone numbers.
-  if (enabled_.dialer_strings && words.size() >= 3 && lower[0] == "dialer" &&
-      (lower[1] == "string" || lower[1] == "called" ||
-       lower[1] == "caller")) {
+  if (Enabled(Rule::kDialerStrings) && words.size() >= 3 &&
+      lower[0] == "dialer" &&
+      (lower[1] == "string" || lower[1] == "called" || lower[1] == "caller")) {
     leak_record_.hashed_words.insert(std::string(words[2]));
     ctx.SetWord(2, PseudoDigits(options_.salt, words[2]));
     handled[2] = true;
-    report_.CountRule(rules::kDialerStrings);
+    Fire(Rule::kDialerStrings);
     return;
   }
 
   // Rule M2: SNMP strings (community secrets, contact/location prose).
   if (lower[0] == "snmp-server" && words.size() >= 2 &&
-      enabled_.snmp_strings) {
+      Enabled(Rule::kSnmpStrings)) {
     if (lower[1] == "community" && words.size() >= 3) {
-      force_hash(2, rules::kSnmpStrings);
+      force_hash(2, Rule::kSnmpStrings);
       return;
     }
     if ((lower[1] == "contact" || lower[1] == "location" ||
@@ -583,29 +534,29 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
         words.size() >= 3 && options_.strip_comments) {
       report_.comment_words_removed += words.size() - 2;
       ctx.TruncateWords(2);
-      report_.CountRule(rules::kSnmpStrings);
+      Fire(Rule::kSnmpStrings);
       return;
     }
     if (lower[1] == "host" && words.size() >= 4) {
       // `snmp-server host <addr|name> <community>`: the trap community is
       // a secret; the host is handled by the IP pass or hashed below.
-      force_hash(3, rules::kSnmpStrings);
+      force_hash(3, Rule::kSnmpStrings);
       return;
     }
   }
 
   // Rule M3: passwords and keys.
-  if (enabled_.secrets) {
+  if (Enabled(Rule::kSecrets)) {
     if (lower[0] == "enable" && words.size() >= 2 &&
         (lower[1] == "secret" || lower[1] == "password")) {
-      force_hash(words.size() - 1, rules::kSecrets);
+      force_hash(words.size() - 1, Rule::kSecrets);
       return;
     }
     if (lower[0] == "username" && words.size() >= 2) {
-      force_hash(1, rules::kSecrets);
+      force_hash(1, Rule::kSecrets);
       for (std::size_t i = 2; i + 1 < words.size(); ++i) {
         if (lower[i] == "password" || lower[i] == "secret") {
-          force_hash(words.size() - 1, rules::kSecrets);
+          force_hash(words.size() - 1, Rule::kSecrets);
           break;
         }
       }
@@ -613,29 +564,29 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
     }
     if (lower[0] == "neighbor" && words.size() >= 4 &&
         lower[2] == "password") {
-      force_hash(words.size() - 1, rules::kSecrets);
+      force_hash(words.size() - 1, Rule::kSecrets);
       return;
     }
     if (lower[0] == "key-string" && words.size() >= 2) {
-      force_hash(1, rules::kSecrets);
+      force_hash(1, Rule::kSecrets);
       return;
     }
     if ((lower[0] == "tacacs-server" || lower[0] == "radius-server") &&
         words.size() >= 3 && lower[1] == "key") {
-      force_hash(2, rules::kSecrets);
+      force_hash(2, Rule::kSecrets);
       return;
     }
     if (lower[0] == "crypto" && words.size() >= 4 && lower[1] == "isakmp" &&
         lower[2] == "key") {
       // `crypto isakmp key SECRET address A.B.C.D`: the pre-shared key is
       // a secret; the peer address is handled by the IP pass.
-      force_hash(3, rules::kSecrets);
+      force_hash(3, Rule::kSecrets);
       return;
     }
     for (std::size_t i = 0; i + 1 < words.size(); ++i) {
       if (lower[i] == "md5" || lower[i] == "authentication-key" ||
           lower[i] == "key-chain") {
-        force_hash(i + 1, rules::kSecrets);
+        force_hash(i + 1, Rule::kSecrets);
         return;
       }
     }
@@ -643,25 +594,25 @@ void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {
 
   // Rule M4: name arguments — commands whose argument is a hostname or
   // domain name that must be anonymized even if its words are innocuous.
-  if (enabled_.name_arguments) {
+  if (Enabled(Rule::kNameArguments)) {
     if (lower[0] == "hostname" && words.size() >= 2) {
-      force_hash(1, rules::kNameArguments);
+      force_hash(1, Rule::kNameArguments);
       return;
     }
     if (lower[0] == "ip" && words.size() >= 3 &&
         (lower[1] == "domain-name" ||
          (lower[1] == "domain" && words.size() >= 4 &&
           lower[2] == "name"))) {
-      force_hash(words.size() - 1, rules::kNameArguments);
+      force_hash(words.size() - 1, Rule::kNameArguments);
       return;
     }
     if (lower[0] == "ip" && lower.size() >= 3 && lower[1] == "host") {
-      force_hash(2, rules::kNameArguments);
+      force_hash(2, Rule::kNameArguments);
       return;
     }
     if (lower[0] == "ntp" && words.size() >= 3 && lower[1] == "server" &&
         !net::Ipv4Address::Parse(words[2])) {
-      force_hash(2, rules::kNameArguments);
+      force_hash(2, Rule::kNameArguments);
       return;
     }
   }
@@ -675,109 +626,99 @@ void Anonymizer::ApplyTokenRules(LineCtx& ctx) {
 
   // Context accounting for rules I4/I5/I6 (the mapping operation itself is
   // uniform; the context rules exist so the operator-facing report shows
-  // which syntactic positions were handled).
-  const char* context_rule = nullptr;
+  // which syntactic positions were handled). With a line's context rule
+  // disabled, the addresses on that line stay as written.
+  std::optional<Rule> context_rule;
   if (lower[0] == "ip" && lower.size() >= 2 &&
       (lower[1] == "address" || lower[1] == "route")) {
-    context_rule = rules::kAddressMaskPairs;
+    context_rule = Rule::kAddressMaskPairs;
   } else if (lower[0] == "access-list" ||
              (lower[0] == "network" && words.size() >= 3)) {
-    context_rule = rules::kAddressWildcardPairs;
+    context_rule = Rule::kAddressWildcardPairs;
   } else if (lower[0] == "ntp" || lower[0] == "logging" ||
              lower[0] == "tacacs-server" || lower[0] == "radius-server" ||
              lower[0] == "snmp-server") {
-    context_rule = rules::kPlainAddressArgs;
+    context_rule = Rule::kPlainAddressArgs;
   }
+  const bool context_enabled = !context_rule || Enabled(*context_rule);
+  const bool map_prefixes = context_enabled && Enabled(Rule::kMapPrefixes);
+  const bool map_addresses = context_enabled && Enabled(Rule::kMapAddresses);
+  // T1 and T2 are one transform: with either disabled, words no other
+  // rule handled stay as written.
+  const bool hash_words =
+      Enabled(Rule::kSegmentWords) && Enabled(Rule::kPasslistHash);
 
   // Fused traversal: for each token, the IP rules run first; whatever
   // they leave unhandled falls through to generic hashing — the same
   // per-token outcome as the former two sequential whole-line loops,
   // since neither rule group reads any *other* token's rewrite.
-  bool fired_context = false;
+  const std::uint64_t mapped_before = report_.addresses_mapped;
   for (std::size_t i = 0; i < words.size(); ++i) {
     if (!handled[i]) {
       // --- IP rules (I1/I2/I3) ---
       // Rule I3: CIDR tokens ("a.b.c.d/len"). The literal address is
       // mapped (it may carry host bits, e.g. a JunOS-style interface
       // address) and the length is kept verbatim.
-      bool ip_done = false;
-      if (enabled_.map_prefixes) {
-        const std::size_t slash = words[i].find('/');
-        if (slash != std::string::npos) {
-          const auto address =
-              net::Ipv4Address::Parse(words[i].substr(0, slash));
-          std::uint64_t length = 0;
-          if (address &&
-              util::ParseUint(words[i].substr(slash + 1), 32, length)) {
-            if (net::IsSpecial(*address)) {
-              handled[i] = true;
-              ++report_.addresses_special;
-              report_.CountRule(rules::kSpecialPassthrough);
-              ip_done = true;
-            } else {
-              leak_record_.addresses.insert(address->ToString());
-              ctx.SetWord(i, state_->ip.Map(*address).ToString() + "/" +
-                                 std::to_string(length));
-              handled[i] = true;
-              ++report_.addresses_mapped;
-              report_.CountRule(rules::kMapPrefixes);
-              fired_context = true;
-              ip_done = true;
-            }
-          }
+      const std::size_t slash =
+          map_prefixes ? words[i].find('/') : std::string_view::npos;
+      const auto prefix =
+          slash == std::string_view::npos
+              ? std::nullopt
+              : net::Ipv4Address::Parse(words[i].substr(0, slash));
+      std::uint64_t length = 0;
+      if (prefix && util::ParseUint(words[i].substr(slash + 1), 32, length)) {
+        handled[i] = true;
+        if (net::IsSpecial(*prefix)) {
+          ++report_.addresses_special;
+          Fire(Rule::kSpecialPassthrough);
+        } else {
+          leak_record_.addresses.insert(prefix->ToString());
+          ctx.SetWord(i, state_->ip.Map(*prefix).ToString() + "/" +
+                             std::to_string(length));
+          ++report_.addresses_mapped;
+          Fire(Rule::kMapPrefixes);
         }
-      }
-      if (!ip_done) {
-        if (const auto address = net::Ipv4Address::Parse(words[i])) {
-          // Rule I2: special addresses (netmasks, wildcard masks,
-          // multicast, loopback, ...) pass through unchanged.
-          if (net::IsSpecial(*address)) {
-            if (enabled_.special_passthrough) {
-              handled[i] = true;
-              ++report_.addresses_special;
-              report_.CountRule(rules::kSpecialPassthrough);
-            }
-          } else if (enabled_.map_addresses) {
-            // Rule I1: everything else is mapped through the
-            // prefix-preserving trie.
-            leak_record_.addresses.insert(address->ToString());
-            ctx.SetWord(i, state_->ip.Map(*address).ToString());
+      } else if (const auto address = net::Ipv4Address::Parse(words[i])) {
+        // Rule I2: special addresses (netmasks, wildcard masks,
+        // multicast, loopback, ...) pass through unchanged.
+        if (net::IsSpecial(*address)) {
+          if (Enabled(Rule::kSpecialPassthrough)) {
             handled[i] = true;
-            ++report_.addresses_mapped;
-            report_.CountRule(rules::kMapAddresses);
-            fired_context = true;
+            ++report_.addresses_special;
+            Fire(Rule::kSpecialPassthrough);
           }
+        } else if (map_addresses) {
+          // Rule I1: everything else is mapped through the
+          // prefix-preserving trie.
+          leak_record_.addresses.insert(address->ToString());
+          ctx.SetWord(i, state_->ip.Map(*address).ToString());
+          handled[i] = true;
+          ++report_.addresses_mapped;
+          Fire(Rule::kMapAddresses);
         }
       }
     }
 
     // --- Generic hashing (T1/T2) on whatever is still unhandled ---
-    if (handled[i]) continue;
+    if (handled[i] || !hash_words) continue;
     const std::string_view word = words[i];
     if (word.empty() || config::IsNonAlphabetic(word)) continue;
 
     // Rule T1: segment the word into alphabetic cores and non-alphabetic
     // remainders; rule T2: the word passes only if every alphabetic
     // segment is on the pass-list.
-    bool all_passed = true;
-    for (const config::Segment& segment : config::SegmentWord(word)) {
-      if (segment.alpha && !pass_list_->Contains(segment.text)) {
-        all_passed = false;
-        break;
-      }
-    }
-    report_.CountRule(rules::kSegmentWords);
-    if (all_passed) {
+    Fire(Rule::kSegmentWords);
+    if (pass_list_->PassesWord(word)) {
       ++report_.words_passed;
       continue;
     }
     leak_record_.hashed_words.insert(std::string(word));
     HashWord(ctx, i);
     ++report_.words_hashed;
-    report_.CountRule(rules::kPasslistHash);
+    Fire(Rule::kPasslistHash);
   }
-  if (fired_context && context_rule != nullptr) {
-    report_.CountRule(context_rule);
+  if (context_rule && report_.addresses_mapped != mapped_before) {
+    Fire(*context_rule);
   }
 }
 

@@ -66,9 +66,11 @@ struct AnonymizerOptions {
   /// Strip comments/banners/description payloads. On by default; the
   /// ablation benches turn it off to measure what leaks through.
   bool strip_comments = true;
-  /// Rule names to disable, for the iterative-refinement experiment
-  /// (Section 6.1) where an initially incomplete rule set is grown until
-  /// the leak detector comes back clean.
+  /// Names of IOS rules to disable (see core/rules.h), for the
+  /// iterative-refinement experiment (Section 6.1) where an initially
+  /// incomplete rule set is grown until the leak detector comes back
+  /// clean. Resolved to rule ids once per engine; JunOS rules cannot be
+  /// disabled, and unknown names disable nothing.
   std::set<std::string> disabled_rules;
   /// The IOS pass-list to consult (never null). Defaults to the embedded
   /// corpus, built once per process and shared: copying the options or
@@ -101,44 +103,6 @@ struct AnonymizerOptions {
   };
   std::vector<KnownEntity> known_entities;
 };
-
-/// Stable rule names (also the keys in AnonymizationReport::rule_fires).
-/// See Section 4.2's accounting of the 28 rules.
-namespace rules {
-// Tokenization (2)
-inline constexpr char kSegmentWords[] = "T1.segment-words";
-inline constexpr char kPasslistHash[] = "T2.passlist-hash";
-// Comment stripping (3)
-inline constexpr char kStripBangComments[] = "C1.strip-bang-comments";
-inline constexpr char kStripFreeText[] = "C2.strip-free-text";
-inline constexpr char kStripBanners[] = "C3.strip-banners";
-// Miscellaneous (4)
-inline constexpr char kDialerStrings[] = "M1.dialer-strings";
-inline constexpr char kSnmpStrings[] = "M2.snmp-strings";
-inline constexpr char kSecrets[] = "M3.secrets";
-inline constexpr char kNameArguments[] = "M4.name-arguments";
-// ASN location (12)
-inline constexpr char kRouterBgp[] = "A1.router-bgp";
-inline constexpr char kNeighborRemoteAs[] = "A2.neighbor-remote-as";
-inline constexpr char kNeighborLocalAs[] = "A3.neighbor-local-as";
-inline constexpr char kConfedIdentifier[] = "A4.confederation-identifier";
-inline constexpr char kConfedPeers[] = "A5.confederation-peers";
-inline constexpr char kAsPathRegex[] = "A6.as-path-regex";
-inline constexpr char kAsPathPrepend[] = "A7.as-path-prepend";
-inline constexpr char kCommunityListLiteral[] = "A8.community-list-literal";
-inline constexpr char kCommunityListRegex[] = "A9.community-list-regex";
-inline constexpr char kSetCommunity[] = "A10.set-community";
-inline constexpr char kSetExtcommunity[] = "A11.set-extcommunity";
-inline constexpr char kAsnAudit[] = "A12.asn-audit";
-// IP handling (7)
-inline constexpr char kMapAddresses[] = "I1.map-addresses";
-inline constexpr char kSpecialPassthrough[] = "I2.special-passthrough";
-inline constexpr char kMapPrefixes[] = "I3.map-cidr-prefixes";
-inline constexpr char kAddressMaskPairs[] = "I4.address-mask-pairs";
-inline constexpr char kAddressWildcardPairs[] = "I5.address-wildcard-pairs";
-inline constexpr char kPlainAddressArgs[] = "I6.plain-address-args";
-inline constexpr char kSubnetPreload[] = "I7.subnet-preload";
-}  // namespace rules
 
 class ServiceContext;
 class Session;
@@ -210,20 +174,6 @@ class Anonymizer : public AnonymizerEngine {
     void ReplaceTailWith(std::size_t from, std::string_view replacement);
   };
 
-  /// The rule-enabled predicate, resolved once at construction so the
-  /// per-token hot paths test a bool instead of probing a set<string>.
-  struct EnabledRules {
-    bool segment_words, passlist_hash;
-    bool strip_bang_comments, strip_free_text, strip_banners;
-    bool dialer_strings, snmp_strings, secrets, name_arguments;
-    bool router_bgp, neighbor_remote_as, neighbor_local_as;
-    bool confed_identifier, confed_peers, aspath_regex, aspath_prepend;
-    bool community_list_literal, community_list_regex;
-    bool set_community, set_extcommunity, asn_audit;
-    bool map_addresses, special_passthrough, map_prefixes;
-    bool address_mask_pairs, address_wildcard_pairs, plain_address_args;
-  };
-
   /// Marks the banner regions rule C3 strips.
   void BeginFile(const config::ConfigFile& file) override;
   /// Processes one input line end-to-end: comment rules, then the fused
@@ -260,7 +210,6 @@ class Anonymizer : public AnonymizerEngine {
   void RecordAsn(std::uint32_t asn);
 
   AnonymizerOptions options_;
-  EnabledRules enabled_;
   /// Rule C3's banner regions of the current file, one flag per line.
   std::vector<bool> in_banner_;
   std::vector<bool> banner_start_;

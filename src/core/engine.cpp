@@ -10,19 +10,15 @@ void SyncTrieDeltas(const ipanon::IpAnonymizer& ip,
                     ipanon::IpAnonymizer::Stats& synced,
                     obs::MetricsRegistry& registry,
                     const std::string& prefix) {
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      registry.CounterNamed(prefix + name).Add(current - base);
-      base = current;
-    }
-  };
   const ipanon::IpAnonymizer::Stats stats = ip.stats();
-  sync("ipanon.cache_hits", stats.cache_hits, synced.cache_hits);
-  sync("ipanon.cache_misses", stats.cache_misses, synced.cache_misses);
-  sync("ipanon.collision_walks", stats.collision_walks,
-       synced.collision_walks);
-  sync("ipanon.preloaded_addresses", stats.preloaded, synced.preloaded);
+  obs::SyncCounter(registry, prefix, "ipanon.cache_hits", stats.cache_hits,
+                   synced.cache_hits);
+  obs::SyncCounter(registry, prefix, "ipanon.cache_misses",
+                   stats.cache_misses, synced.cache_misses);
+  obs::SyncCounter(registry, prefix, "ipanon.collision_walks",
+                   stats.collision_walks, synced.collision_walks);
+  obs::SyncCounter(registry, prefix, "ipanon.preloaded_addresses",
+                   stats.preloaded, synced.preloaded);
   registry.GaugeNamed(prefix + "ipanon.trie_nodes")
       .Set(static_cast<std::int64_t>(ip.NodeCount()));
 }
@@ -31,12 +27,14 @@ AnonymizerEngine::AnonymizerEngine(
     const DialectTraits& traits, std::string_view salt,
     std::shared_ptr<const passlist::PassList> baseline,
     const passlist::PassList& extras, std::shared_ptr<NetworkState> state,
-    bool preload_enabled)
+    RuleSet disabled)
     : pass_list_(passlist::WithExtras(std::move(baseline), extras)),
       state_(state != nullptr ? state : std::make_shared<NetworkState>(salt)),
       traits_(traits),
       metric_prefix_(traits.metric_prefix),
-      preload_enabled_(preload_enabled),
+      disabled_(disabled),
+      preload_enabled_(!traits.preload_rule ||
+                       !disabled[RuleIndex(*traits.preload_rule)]),
       shared_state_(state != nullptr) {}
 
 std::vector<config::ConfigFile> AnonymizerEngine::AnonymizeNetwork(
@@ -89,11 +87,12 @@ config::ConfigFile AnonymizerEngine::AnonymizeFile(
   const auto file_start = std::chrono::steady_clock::now();
   // Per-rule processing time for this file (traced runs only): the cost
   // of each line is attributed to the rules that fired on it.
-  std::map<std::string, std::uint64_t> rule_ns;
+  RuleNs rule_ns{};
+  RuleSet file_fired;
 
   for (std::size_t index = 0; index < file.lines().size(); ++index) {
     if (observing) {
-      ObserveLine(file, index, out_lines, rule_ns);
+      ObserveLine(file, index, out_lines, rule_ns, file_fired);
     } else {
       AnonymizeLine(file, index, out_lines);
     }
@@ -117,12 +116,14 @@ config::ConfigFile AnonymizerEngine::AnonymizeFile(
       // nest them under it (timestamp containment). Positions within the
       // file are synthetic; durations are the measured aggregates.
       std::int64_t cursor = file_start_us;
-      for (const auto& [rule, ns] : rule_ns) {
+      for (std::size_t i = 0; i < kRuleCount; ++i) {
+        if (!file_fired[i]) continue;
         std::int64_t duration = std::max<std::int64_t>(
-            static_cast<std::int64_t>(ns) / 1000, 1);
+            static_cast<std::int64_t>(rule_ns[i]) / 1000, 1);
         duration = std::min(duration,
                             std::max<std::int64_t>(file_end_us - cursor, 1));
-        tracer_.Complete("rule:" + rule, cursor, duration, "anonymize");
+        tracer_.Complete("rule:" + std::string(kRuleTable[i].name), cursor,
+                         duration, "anonymize");
         cursor = std::min(cursor + duration, file_end_us - 1);
       }
       tracer_.Complete("file:" + file.name(), file_start_us,
@@ -144,18 +145,18 @@ void AnonymizerEngine::CollectPreload(const config::ConfigFile& file,
   if (!preload_enabled_) return;
   const std::size_t before = out.size();
   traits_.collect_addresses(file, out);
-  if (traits_.preload_rule != nullptr) {
-    report_.CountRule(traits_.preload_rule, out.size() - before);
+  if (traits_.preload_rule) {
+    report_.Fire(*traits_.preload_rule, out.size() - before);
   }
 }
 
-void AnonymizerEngine::ObserveLine(
-    const config::ConfigFile& file, std::size_t index,
-    std::vector<std::string>& out_lines,
-    std::map<std::string, std::uint64_t>& rule_ns) {
+void AnonymizerEngine::ObserveLine(const config::ConfigFile& file,
+                                   std::size_t index,
+                                   std::vector<std::string>& out_lines,
+                                   RuleNs& rule_ns, RuleSet& file_fired) {
   const std::uint64_t words_before = report_.total_words;
   const std::size_t out_count = out_lines.size();
-  const std::map<std::string, std::uint64_t> fires_before = report_.rule_fires;
+  line_fired_.reset();
   const auto t0 = std::chrono::steady_clock::now();
 
   AnonymizeLine(file, index, out_lines);
@@ -165,29 +166,27 @@ void AnonymizerEngine::ObserveLine(
           std::chrono::steady_clock::now() - t0)
           .count());
   if (line_hist_ != nullptr) line_hist_->Record(elapsed_ns);
+  if (line_fired_.none()) return;
 
-  const auto tokens_before =
-      static_cast<std::uint32_t>(report_.total_words - words_before);
-  const auto tokens_after = static_cast<std::uint32_t>(
-      out_lines.size() > out_count ? util::SplitWords(out_lines.back()).size()
-                                   : 0);
-
-  // Rules whose fire count advanced during this line.
-  std::vector<const std::string*> fired;
-  for (const auto& [name, count] : report_.rule_fires) {
-    const auto before = fires_before.find(name);
-    if (before == fires_before.end() || before->second != count) {
-      fired.push_back(&name);
+  if (tracer_.enabled()) {
+    const std::uint64_t share = elapsed_ns / line_fired_.count();
+    for (std::size_t i = 0; i < kRuleCount; ++i) {
+      if (line_fired_[i]) rule_ns[i] += share;
     }
+    file_fired |= line_fired_;
   }
-  if (fired.empty()) return;
-  const std::uint64_t share = elapsed_ns / fired.size();
-  for (const std::string* rule : fired) {
-    if (tracer_.enabled()) rule_ns[*rule] += share;
-    if (provenance_ != nullptr) {
+  if (provenance_ != nullptr) {
+    const auto tokens_before =
+        static_cast<std::uint32_t>(report_.total_words - words_before);
+    const auto tokens_after = static_cast<std::uint32_t>(
+        out_lines.size() > out_count
+            ? util::SplitWords(out_lines.back()).size()
+            : 0);
+    for (std::size_t i = 0; i < kRuleCount; ++i) {
+      if (!line_fired_[i]) continue;
       provenance_->Record(obs::ProvenanceEntry{
-          file.name(), static_cast<std::uint64_t>(index), *rule,
-          tokens_before, tokens_after});
+          file.name(), static_cast<std::uint64_t>(index),
+          std::string(kRuleTable[i].name), tokens_before, tokens_after});
     }
   }
 }
@@ -235,17 +234,12 @@ void AnonymizerEngine::RecordRewrite(const asn::RewriteResult& result) {
 void AnonymizerEngine::SyncMetrics() {
   if (metrics_ == nullptr) return;
   SyncReportDeltas(report_, synced_report_, *metrics_, metric_prefix_);
-  const auto sync = [&](const char* name, std::uint64_t current,
-                        std::uint64_t& base) {
-    if (current > base) {
-      metrics_->CounterNamed(metric_prefix_ + name).Add(current - base);
-      base = current;
-    }
-  };
   // The arena is engine-local (one per worker), so its counters sync
   // here even under a shared NetworkState.
-  sync("arena.bytes", arena_.bytes_allocated(), synced_arena_bytes_);
-  sync("arena.resets", arena_.resets(), synced_arena_resets_);
+  obs::SyncCounter(*metrics_, metric_prefix_, "arena.bytes",
+                   arena_.bytes_allocated(), synced_arena_bytes_);
+  obs::SyncCounter(*metrics_, metric_prefix_, "arena.resets",
+                   arena_.resets(), synced_arena_resets_);
   // A shared trie is synced once by its owner (the pipeline); per-engine
   // delta syncs would double count it.
   if (!shared_state_) {

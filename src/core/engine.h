@@ -18,10 +18,11 @@
 // NetworkState without caring which rule pack handles which file.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -33,6 +34,7 @@
 #include "core/leak_detector.h"
 #include "core/network_state.h"
 #include "core/report.h"
+#include "core/rules.h"
 #include "core/string_hasher.h"
 #include "ipanon/ip_anonymizer.h"
 #include "net/ipv4.h"
@@ -54,9 +56,9 @@ struct DialectTraits {
   /// Trace spans of AnonymizeNetwork and of its corpus preload.
   const char* network_span;
   const char* preload_span;
-  /// Rule the address preload is gated and counted under; null when the
+  /// Rule the address preload is gated and counted under; none when the
   /// preload always runs and counts nowhere.
-  const char* preload_rule;
+  std::optional<Rule> preload_rule;
   /// Collects every non-special IPv4 literal of a file under the
   /// dialect's tokenization (the operand of the preload).
   void (*collect_addresses)(const config::ConfigFile& file,
@@ -148,12 +150,13 @@ class AnonymizerEngine {
 
  protected:
   /// `state` null: the engine owns a fresh NetworkState salted `salt`.
-  /// The pass-list is `baseline` merged with `extras`. `preload_enabled`
-  /// is false only when the traits' preload rule is disabled.
+  /// The pass-list is `baseline` merged with `extras`. `disabled` holds
+  /// the rules the rule pack skips; the preload runs unless it holds the
+  /// traits' preload rule.
   AnonymizerEngine(const DialectTraits& traits, std::string_view salt,
                    std::shared_ptr<const passlist::PassList> baseline,
                    const passlist::PassList& extras,
-                   std::shared_ptr<NetworkState> state, bool preload_enabled);
+                   std::shared_ptr<NetworkState> state, RuleSet disabled);
 
   /// Per-file setup before the first line (banner regions, block-comment
   /// state).
@@ -180,6 +183,14 @@ class AnonymizerEngine {
             .count()));
   }
 
+  bool Enabled(Rule rule) const { return !disabled_[RuleIndex(rule)]; }
+
+  /// Counts one fire of `rule` on the current line.
+  void Fire(Rule rule) {
+    report_.Fire(rule);
+    line_fired_[RuleIndex(rule)] = true;
+  }
+
   /// Records a regexp rewrite's cost into the registry, if installed.
   /// Memo-served results count toward "asn.rewrite_memo_hits" instead of
   /// re-adding DFA states / rewrite latency.
@@ -194,14 +205,19 @@ class AnonymizerEngine {
   util::Arena arena_;
 
  private:
-  /// AnonymizeLine wrapped in timing + rule-fire attribution; accumulates
-  /// per-rule nanoseconds into `rule_ns` and feeds the provenance log.
+  using RuleNs = std::array<std::uint64_t, kRuleCount>;
+
+  /// AnonymizeLine wrapped in timing + rule-fire attribution. In traced
+  /// runs it splits the line's time evenly among the rules that fired on
+  /// it, into `rule_ns`, and adds them to `file_fired`; it feeds the
+  /// provenance log when one is installed.
   void ObserveLine(const config::ConfigFile& file, std::size_t index,
-                   std::vector<std::string>& out_lines,
-                   std::map<std::string, std::uint64_t>& rule_ns);
+                   std::vector<std::string>& out_lines, RuleNs& rule_ns,
+                   RuleSet& file_fired);
 
   const DialectTraits traits_;
   const std::string metric_prefix_;
+  const RuleSet disabled_;
   const bool preload_enabled_;
   /// Whether state_ was handed in (pipeline worker, mixed-dialect run)
   /// rather than owned.
@@ -218,6 +234,8 @@ class AnonymizerEngine {
   obs::LatencyHistogram* rewrite_hist_ = nullptr;
   obs::Counter* dfa_states_total_ = nullptr;
   obs::Counter* rewrite_memo_hits_ = nullptr;
+  /// Rules that fired on the line ObserveLine is observing.
+  RuleSet line_fired_;
   /// Last report/arena/trie state already pushed to the registry.
   AnonymizationReport synced_report_;
   ipanon::IpAnonymizer::Stats synced_ip_;

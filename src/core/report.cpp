@@ -5,21 +5,38 @@
 
 namespace confanon::core {
 
+namespace {
+
+/// The scalar fields in JSON order, by name: what Merge adds, WriteJson
+/// writes and SyncReportDeltas exports as "report.<name>".
+struct ScalarField {
+  const char* name;
+  std::uint64_t AnonymizationReport::*member;
+};
+
+constexpr ScalarField kScalarFields[] = {
+    {"total_lines", &AnonymizationReport::total_lines},
+    {"total_words", &AnonymizationReport::total_words},
+    {"comment_words_removed", &AnonymizationReport::comment_words_removed},
+    {"words_hashed", &AnonymizationReport::words_hashed},
+    {"words_passed", &AnonymizationReport::words_passed},
+    {"addresses_mapped", &AnonymizationReport::addresses_mapped},
+    {"addresses_special", &AnonymizationReport::addresses_special},
+    {"asns_mapped", &AnonymizationReport::asns_mapped},
+    {"communities_mapped", &AnonymizationReport::communities_mapped},
+    {"aspath_regexps_rewritten",
+     &AnonymizationReport::aspath_regexps_rewritten},
+    {"community_regexps_rewritten",
+     &AnonymizationReport::community_regexps_rewritten},
+};
+
+}  // namespace
+
 void AnonymizationReport::Merge(const AnonymizationReport& other) {
-  for (const auto& [name, count] : other.rule_fires) {
-    rule_fires[name] += count;
+  for (std::size_t i = 0; i < kRuleCount; ++i) fires[i] += other.fires[i];
+  for (const ScalarField& field : kScalarFields) {
+    this->*field.member += other.*field.member;
   }
-  total_lines += other.total_lines;
-  total_words += other.total_words;
-  comment_words_removed += other.comment_words_removed;
-  words_hashed += other.words_hashed;
-  words_passed += other.words_passed;
-  addresses_mapped += other.addresses_mapped;
-  addresses_special += other.addresses_special;
-  asns_mapped += other.asns_mapped;
-  communities_mapped += other.communities_mapped;
-  aspath_regexps_rewritten += other.aspath_regexps_rewritten;
-  community_regexps_rewritten += other.community_regexps_rewritten;
 }
 
 std::string AnonymizationReport::ToString() const {
@@ -45,29 +62,27 @@ std::string AnonymizationReport::ToString() const {
       << "aspath_regexps_rewritten=" << aspath_regexps_rewritten
       << " community_regexps_rewritten=" << community_regexps_rewritten
       << "\n";
-  for (const auto& [name, count] : rule_fires) {
-    out << "  rule " << name << ": " << count << "\n";
+  for (const RuleInfo& rule : kRuleTable) {
+    if (const std::uint64_t count = Fires(rule.id); count != 0) {
+      out << "  rule " << rule.name << ": " << count << "\n";
+    }
   }
   return out.str();
 }
 
 void AnonymizationReport::WriteJson(obs::JsonWriter& out) const {
   out.BeginObject();
-  out.Key("total_lines").Value(total_lines);
-  out.Key("total_words").Value(total_words);
-  out.Key("comment_words_removed").Value(comment_words_removed);
-  out.Key("comment_word_fraction").Value(CommentWordFraction());
-  out.Key("words_hashed").Value(words_hashed);
-  out.Key("words_passed").Value(words_passed);
-  out.Key("addresses_mapped").Value(addresses_mapped);
-  out.Key("addresses_special").Value(addresses_special);
-  out.Key("asns_mapped").Value(asns_mapped);
-  out.Key("communities_mapped").Value(communities_mapped);
-  out.Key("aspath_regexps_rewritten").Value(aspath_regexps_rewritten);
-  out.Key("community_regexps_rewritten").Value(community_regexps_rewritten);
+  for (const ScalarField& field : kScalarFields) {
+    out.Key(field.name).Value(this->*field.member);
+    if (field.member == &AnonymizationReport::comment_words_removed) {
+      out.Key("comment_word_fraction").Value(CommentWordFraction());
+    }
+  }
   out.Key("rule_fires").BeginObject();
-  for (const auto& [name, count] : rule_fires) {
-    out.Key(name).Value(count);
+  for (const RuleInfo& rule : kRuleTable) {
+    if (const std::uint64_t count = Fires(rule.id); count != 0) {
+      out.Key(rule.name).Value(count);
+    }
   }
   out.EndObject();
   out.EndObject();
@@ -83,36 +98,16 @@ void SyncReportDeltas(const AnonymizationReport& current,
                       AnonymizationReport& base,
                       obs::MetricsRegistry& registry,
                       const std::string& prefix) {
-  const auto sync = [&](const char* name, std::uint64_t value,
-                        std::uint64_t& prev) {
-    if (value > prev) {
-      registry.CounterNamed(prefix + ("report." + std::string(name)))
-          .Add(value - prev);
-      prev = value;
-    }
-  };
-  sync("total_lines", current.total_lines, base.total_lines);
-  sync("total_words", current.total_words, base.total_words);
-  sync("comment_words_removed", current.comment_words_removed,
-       base.comment_words_removed);
-  sync("words_hashed", current.words_hashed, base.words_hashed);
-  sync("words_passed", current.words_passed, base.words_passed);
-  sync("addresses_mapped", current.addresses_mapped, base.addresses_mapped);
-  sync("addresses_special", current.addresses_special,
-       base.addresses_special);
-  sync("asns_mapped", current.asns_mapped, base.asns_mapped);
-  sync("communities_mapped", current.communities_mapped,
-       base.communities_mapped);
-  sync("aspath_regexps_rewritten", current.aspath_regexps_rewritten,
-       base.aspath_regexps_rewritten);
-  sync("community_regexps_rewritten", current.community_regexps_rewritten,
-       base.community_regexps_rewritten);
-  for (const auto& [name, count] : current.rule_fires) {
-    std::uint64_t& prev = base.rule_fires[name];
-    if (count > prev) {
-      registry.CounterNamed(prefix + ("rule." + name)).Add(count - prev);
-      prev = count;
-    }
+  const std::string report_prefix = prefix + "report.";
+  for (const ScalarField& field : kScalarFields) {
+    obs::SyncCounter(registry, report_prefix, field.name,
+                     current.*field.member, base.*field.member);
+  }
+  const std::string rule_prefix = prefix + "rule.";
+  for (const RuleInfo& rule : kRuleTable) {
+    const std::size_t i = RuleIndex(rule.id);
+    obs::SyncCounter(registry, rule_prefix, rule.name, current.fires[i],
+                     base.fires[i]);
   }
 }
 

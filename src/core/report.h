@@ -5,18 +5,19 @@
 // counts of regexp rewrites, Sections 4.4-4.5).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 
+#include "core/rules.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace confanon::core {
 
 struct AnonymizationReport {
-  /// How many times each named rule changed something.
-  std::map<std::string, std::uint64_t> rule_fires;
+  /// How many times each rule changed something, indexed by RuleIndex.
+  std::array<std::uint64_t, kRuleCount> fires{};
 
   std::uint64_t total_lines = 0;
   std::uint64_t total_words = 0;
@@ -38,9 +39,8 @@ struct AnonymizationReport {
   std::uint64_t aspath_regexps_rewritten = 0;
   std::uint64_t community_regexps_rewritten = 0;
 
-  void CountRule(const std::string& rule_name, std::uint64_t n = 1) {
-    rule_fires[rule_name] += n;
-  }
+  void Fire(Rule rule, std::uint64_t n = 1) { fires[RuleIndex(rule)] += n; }
+  std::uint64_t Fires(Rule rule) const { return fires[RuleIndex(rule)]; }
 
   double CommentWordFraction() const {
     return total_words == 0
@@ -52,13 +52,15 @@ struct AnonymizationReport {
   /// Merges another report into this one (per-network aggregation).
   void Merge(const AnonymizationReport& other);
 
-  /// Multi-line human-readable rendering.
+  /// Multi-line human-readable rendering. Lists the rules that fired, in
+  /// name order; a rule with no fires is not listed.
   std::string ToString() const;
 
   /// Writes the report as one JSON object: every scalar field by name,
-  /// `comment_word_fraction`, and a `rule_fires` sub-object keyed by rule
-  /// name. This is the machine-readable counterpart of ToString() and the
-  /// shape embedded in BENCH_perf.json.
+  /// `comment_word_fraction`, and a `rule_fires` sub-object keyed by the
+  /// name of every rule that fired, in name order. This is the
+  /// machine-readable counterpart of ToString() and the shape embedded in
+  /// BENCH_perf.json.
   void WriteJson(obs::JsonWriter& out) const;
   std::string ToJson() const;
 };

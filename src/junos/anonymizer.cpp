@@ -43,7 +43,7 @@ constexpr core::DialectTraits kJunosTraits{
     .timing_prefix = "junos.",
     .network_span = "junos-anonymize-network",
     .preload_span = "junos-preload",
-    .preload_rule = nullptr,
+    .preload_rule = std::nullopt,
     .collect_addresses = &JunosAnonymizer::CollectFileAddresses,
 };
 
@@ -81,7 +81,7 @@ JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options,
                                  std::shared_ptr<core::NetworkState> state)
     : core::AnonymizerEngine(kJunosTraits, options.salt, SharedJunosPassList(),
                              options.extra_pass_list, std::move(state),
-                             /*preload_enabled=*/true),
+                             /*disabled=*/core::RuleSet{}),
       options_(std::move(options)) {}
 
 void JunosAnonymizer::CollectFileAddresses(const config::ConfigFile& file,
@@ -114,13 +114,7 @@ void JunosAnonymizer::CollectHashCandidates(
         continue;
       }
       const std::string_view value = Unquote(token.text);
-      if (value.empty() || config::IsNonAlphabetic(value)) continue;
-      for (const config::Segment& segment : config::SegmentWord(value)) {
-        if (segment.alpha && !pass_list.Contains(segment.text)) {
-          out.push_back(value);
-          break;
-        }
-      }
+      if (!pass_list.PassesWord(value)) out.push_back(value);
     }
   }
 }
@@ -143,9 +137,10 @@ void JunosAnonymizer::AnonymizeLine(const config::ConfigFile& file,
         util::Trim(text).substr(0, 2) == std::string_view("/*");
     if (opens || in_block_comment_) {
       const std::size_t close = text.find("*/");
-      report_.total_words += util::SplitWords(text).size();
-      report_.comment_words_removed += util::SplitWords(text).size();
-      report_.CountRule("J.strip-block-comment");
+      const std::size_t words = util::SplitWords(text).size();
+      report_.total_words += words;
+      report_.comment_words_removed += words;
+      Fire(core::Rule::kJunosStripBlockComment);
       in_block_comment_ = close == std::string_view::npos;
       out_lines.push_back("/* */");
       return;
@@ -160,7 +155,7 @@ void JunosAnonymizer::AnonymizeLine(const config::ConfigFile& file,
 }
 
 void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
-                                const char* rule) {
+                                core::Rule rule) {
   if (index >= line.tokens.size()) return;
   Token& token = line.tokens[index];
   const std::string_view original = Unquote(token.text);
@@ -170,7 +165,7 @@ void JunosAnonymizer::ForceHash(JunosLine& line, std::size_t index,
   }
   HashToken(token);
   ++report_.words_hashed;
-  report_.CountRule(rule);
+  Fire(rule);
 }
 
 void JunosAnonymizer::HashToken(Token& token) {
@@ -200,7 +195,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
       tokens.back().kind == Token::Kind::kComment) {
     report_.comment_words_removed +=
         util::SplitWords(tokens.back().text).size();
-    report_.CountRule("J.strip-hash-comment");
+    Fire(core::Rule::kJunosStripHashComment);
     tokens.pop_back();
     if (tokens.empty()) return;
   }
@@ -238,13 +233,13 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
           util::SplitWords(Unquote(word(w + 1))).size();
       tokens[word_at[w + 1]].text = "\"\"";
       handled[word_at[w + 1]] = true;
-      report_.CountRule("J.strip-free-text");
+      Fire(core::Rule::kJunosStripFreeText);
       continue;
     }
 
     // --- names that must be hashed even if pass-listed ---
     if ((keyword == "host-name" || keyword == "domain-name") && has_next) {
-      ForceHash(line, word_at[w + 1], "J.name-arguments");
+      ForceHash(line, word_at[w + 1], core::Rule::kJunosNameArguments);
       handled[word_at[w + 1]] = true;
       continue;
     }
@@ -254,7 +249,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
         has_next && util::IsAllDigits(word(w + 1))) {
       tokens[word_at[w + 1]].text = arena_.Store(MapAsnText(word(w + 1)));
       handled[word_at[w + 1]] = true;
-      report_.CountRule("J.asn-statement");
+      Fire(core::Rule::kJunosAsnStatement);
       continue;
     }
 
@@ -275,7 +270,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
         if (result.changed) {
           tokens[word_at[w + 2]].text = Quote(result.pattern, arena_);
           ++report_.aspath_regexps_rewritten;
-          report_.CountRule("J.as-path-regex");
+          Fire(core::Rule::kJunosAsPathRegex);
         }
       } catch (const regex::ParseError&) {
         // Leave for the leak grep.
@@ -294,7 +289,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
       }
       tokens[word_at[w + 1]].text = Quote(util::Join(mapped, " "), arena_);
       handled[word_at[w + 1]] = true;
-      report_.CountRule("J.as-path-prepend");
+      Fire(core::Rule::kJunosAsPathPrepend);
       continue;
     }
 
@@ -311,7 +306,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
             if (result.changed) {
               value.text = Quote(result.pattern, arena_);
               ++report_.community_regexps_rewritten;
-              report_.CountRule("J.community-regex");
+              Fire(core::Rule::kJunosCommunityRegex);
             }
           } catch (const regex::ParseError&) {
           }
@@ -323,7 +318,7 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
           value.text = arena_.Store(state_->community.Map(*literal).ToString());
           ++report_.communities_mapped;
           handled[word_at[v]] = true;
-          report_.CountRule("J.community-literal");
+          Fire(core::Rule::kJunosCommunityLiteral);
         }
       }
       continue;
@@ -334,40 +329,27 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     if (handled[i] || tokens[i].kind != Token::Kind::kWord) continue;
     Token& token = tokens[i];
+    // A CIDR token ("a.b.c.d/len") keeps its length verbatim.
     const std::size_t slash = token.text.find('/');
-    if (slash != std::string_view::npos) {
-      const auto address = net::Ipv4Address::Parse(token.text.substr(0, slash));
-      std::uint64_t length = 0;
-      if (address &&
-          util::ParseUint(token.text.substr(slash + 1), 32, length)) {
-        if (net::IsSpecial(*address)) {
-          handled[i] = true;
-          ++report_.addresses_special;
-          report_.CountRule("J.special-passthrough");
-          continue;
-        }
-        leak_record_.addresses.insert(address->ToString());
-        token.text = arena_.Store(state_->ip.Map(*address).ToString() + "/" +
-                                  std::to_string(length));
-        handled[i] = true;
-        ++report_.addresses_mapped;
-        report_.CountRule("J.map-prefixes");
-        continue;
-      }
+    const bool cidr = slash != std::string_view::npos;
+    std::uint64_t length = 0;
+    if (cidr && !util::ParseUint(token.text.substr(slash + 1), 32, length)) {
+      continue;
     }
-    if (const auto address = net::Ipv4Address::Parse(token.text)) {
-      if (net::IsSpecial(*address)) {
-        handled[i] = true;
-        ++report_.addresses_special;
-        report_.CountRule("J.special-passthrough");
-        continue;
-      }
-      leak_record_.addresses.insert(address->ToString());
-      token.text = arena_.Store(state_->ip.Map(*address).ToString());
-      handled[i] = true;
-      ++report_.addresses_mapped;
-      report_.CountRule("J.map-addresses");
+    const auto address = net::Ipv4Address::Parse(token.text.substr(0, slash));
+    if (!address) continue;
+    handled[i] = true;
+    if (net::IsSpecial(*address)) {
+      ++report_.addresses_special;
+      Fire(core::Rule::kJunosSpecialPassthrough);
+      continue;
     }
+    leak_record_.addresses.insert(address->ToString());
+    std::string mapped = state_->ip.Map(*address).ToString();
+    if (cidr) mapped += "/" + std::to_string(length);
+    token.text = arena_.Store(mapped);
+    ++report_.addresses_mapped;
+    Fire(cidr ? core::Rule::kJunosMapPrefixes : core::Rule::kJunosMapAddresses);
   }
 
   // --- generic pass-list hashing over remaining words ---
@@ -379,21 +361,14 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
     }
     const std::string_view value = Unquote(tokens[i].text);
     if (value.empty() || config::IsNonAlphabetic(value)) continue;
-    bool all_passed = true;
-    for (const config::Segment& segment : config::SegmentWord(value)) {
-      if (segment.alpha && !pass_list_->Contains(segment.text)) {
-        all_passed = false;
-        break;
-      }
-    }
-    if (all_passed) {
+    if (pass_list_->PassesWord(value)) {
       ++report_.words_passed;
       continue;
     }
     leak_record_.hashed_words.insert(std::string(value));
     HashToken(tokens[i]);
     ++report_.words_hashed;
-    report_.CountRule("J.passlist-hash");
+    Fire(core::Rule::kJunosPasslistHash);
   }
 }
 

@@ -74,7 +74,8 @@ JunosAnonymizerOptions JunosOptionsFrom(const core::AnonymizerOptions& options);
 /// The JunOS rule pack over the shared line engine (core/engine.h). Its
 /// metrics carry a "junos." prefix so a mixed IOS/JunOS run can share one
 /// registry without colliding ("junos.report.*", "junos.line_ns"); rule
-/// counters keep their globally unique "J." names under "junos.rule.J.*".
+/// counters keep their globally unique names (core/rules.h) under
+/// "junos.rule.". JunOS rules cannot be disabled.
 /// Regexp rewrite costs land in the shared "asn.rewrite_*" metrics.
 class JunosAnonymizer : public core::AnonymizerEngine {
  public:
@@ -113,7 +114,7 @@ class JunosAnonymizer : public core::AnonymizerEngine {
                      std::vector<std::string>& out_lines) override;
   void ProcessLine(JunosLine& line);
   /// Force-hashes the word token at `index` (records it when unknown).
-  void ForceHash(JunosLine& line, std::size_t index, const char* rule);
+  void ForceHash(JunosLine& line, std::size_t index, core::Rule rule);
   /// Replaces `token` with its hash token (quoted for kString tokens).
   void HashToken(Token& token);
   std::string MapAsnText(std::string_view text);

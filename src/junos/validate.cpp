@@ -1,6 +1,5 @@
 #include "junos/validate.h"
 
-#include "config/tokenizer.h"
 #include "junos/design_extract.h"
 
 namespace confanon::junos {
@@ -16,14 +15,7 @@ analysis::ValidationResult ValidateJunosNetwork(
 
   const passlist::PassList& junos_words = *SharedJunosPassList();
   const auto name_map = [&](const std::string& name) -> std::string {
-    bool passes = true;
-    for (const config::Segment& segment : config::SegmentWord(name)) {
-      if (segment.alpha && !junos_words.Contains(segment.text)) {
-        passes = false;
-        break;
-      }
-    }
-    if (passes) return name;
+    if (junos_words.PassesWord(name)) return name;
     return anonymizer.string_hasher().Hash(name);
   };
   const auto addr_map = [&](net::Ipv4Address address) {

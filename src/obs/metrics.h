@@ -139,4 +139,19 @@ class MetricsRegistry {
       histograms_;
 };
 
+/// One step of a delta sync: adds `current - synced` to the counter
+/// "<prefix><name>" and advances `synced` to `current`. The counter is
+/// looked up, and so registered, only on a non-zero delta, so a sync
+/// never creates a zero-valued counter; repeating it adds nothing. Each
+/// writer keeps its own `synced` and pushes its totals at file
+/// boundaries, which batches the atomic adds of writers sharing one
+/// registry.
+inline void SyncCounter(MetricsRegistry& registry, std::string_view prefix,
+                        std::string_view name, std::uint64_t current,
+                        std::uint64_t& synced) {
+  if (current <= synced) return;
+  registry.CounterNamed(std::string(prefix).append(name)).Add(current - synced);
+  synced = current;
+}
+
 }  // namespace confanon::obs

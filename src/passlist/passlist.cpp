@@ -2,6 +2,7 @@
 
 #include <iterator>
 
+#include "util/charscan.h"
 #include "util/io.h"
 #include "util/strings.h"
 
@@ -34,6 +35,16 @@ void PassList::Add(std::string_view token) {
 
 bool PassList::Contains(std::string_view token) const {
   return tokens_.contains(util::ToLower(token));
+}
+
+bool PassList::PassesWord(std::string_view word) const {
+  std::size_t begin = util::FindAlphaBoundary(word, 0, false);
+  while (begin < word.size()) {
+    const std::size_t end = util::FindAlphaBoundary(word, begin, true);
+    if (!Contains(word.substr(begin, end - begin))) return false;
+    begin = util::FindAlphaBoundary(word, end, false);
+  }
+  return true;
 }
 
 void PassList::Merge(const PassList& other) {

@@ -48,6 +48,10 @@ class PassList {
   /// Case-insensitive membership.
   bool Contains(std::string_view token) const;
 
+  /// Rules T1/T2's test: true when every maximal alphabetic run of
+  /// `word` is on the list (a word with none passes).
+  bool PassesWord(std::string_view word) const;
+
   std::size_t Size() const { return tokens_.size(); }
 
   /// Every Add() in load order, lowercased, duplicates included. The

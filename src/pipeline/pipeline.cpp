@@ -95,8 +95,9 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
   // With rule I7 disabled, IOS addresses enter the trie on demand during
   // file processing — an order-dependent operation. Fall back to one
   // worker so the output still matches the sequential engine exactly.
-  const bool i7_enabled = !context_->options().base.disabled_rules.contains(
-      core::rules::kSubnetPreload);
+  const bool i7_enabled =
+      !core::RuleSetFromNames(context_->options().base.disabled_rules)
+          [core::RuleIndex(core::Rule::kSubnetPreload)];
   const int threads = i7_enabled ? ResolveThreads(files.size()) : 1;
   std::vector<std::unique_ptr<EngineWorker>> workers;
   workers.reserve(static_cast<std::size_t>(threads));

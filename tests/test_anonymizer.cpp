@@ -378,7 +378,7 @@ TEST(Anonymizer, ConsistentAcrossFilesOfOneNetwork) {
 TEST(Anonymizer, DisabledRuleLeaksAndDetectorCatchesIt) {
   AnonymizerOptions options;
   options.salt = "s";
-  options.disabled_rules.insert(rules::kRouterBgp);
+  options.disabled_rules.emplace(RuleName(Rule::kRouterBgp));
   Anonymizer crippled{std::move(options)};
   const auto out = crippled.AnonymizeNetwork({File(
       "router bgp 1111\n neighbor 5.5.5.5 remote-as 1111\n")});

@@ -347,13 +347,20 @@ TEST(ObservedAnonymizer, MetricsMatchReportAndTraceNests) {
   const obs::RunMetrics metrics = registry.Snapshot();
 
   // Every rule counter equals the report's fire count, and vice versa.
-  for (const auto& [rule, fires] : report.rule_fires) {
-    ASSERT_TRUE(metrics.counters.contains("rule." + rule)) << rule;
-    EXPECT_EQ(metrics.counters.at("rule." + rule), fires) << rule;
+  for (const core::RuleInfo& rule : core::kRuleTable) {
+    const std::string name = "rule." + std::string(rule.name);
+    if (report.Fires(rule.id) == 0) {
+      EXPECT_FALSE(metrics.counters.contains(name)) << name;
+      continue;
+    }
+    ASSERT_TRUE(metrics.counters.contains(name)) << name;
+    EXPECT_EQ(metrics.counters.at(name), report.Fires(rule.id)) << name;
   }
   for (const auto& [name, value] : metrics.counters) {
     if (name.rfind("rule.", 0) == 0) {
-      EXPECT_EQ(report.rule_fires.at(name.substr(5)), value) << name;
+      const auto rule = core::RuleFromName(name.substr(5));
+      ASSERT_TRUE(rule.has_value()) << name;
+      EXPECT_EQ(report.Fires(*rule), value) << name;
     }
   }
   EXPECT_EQ(metrics.counters.at("report.total_lines"), report.total_lines);
@@ -379,7 +386,9 @@ TEST(ObservedAnonymizer, MetricsMatchReportAndTraceNests) {
   // comment-strip rule logged token removal.
   ASSERT_FALSE(provenance.empty());
   for (const auto& entry : provenance.entries()) {
-    EXPECT_TRUE(report.rule_fires.contains(entry.rule)) << entry.rule;
+    const auto rule = core::RuleFromName(entry.rule);
+    ASSERT_TRUE(rule.has_value()) << entry.rule;
+    EXPECT_GT(report.Fires(*rule), 0u) << entry.rule;
     EXPECT_EQ(entry.file, "edge.cfg");
   }
   bool saw_removal = false;
@@ -396,7 +405,7 @@ TEST(ObservedAnonymizer, SilentWithoutInstrumentation) {
   const auto post = plain.AnonymizeNetwork(
       {config::ConfigFile::FromText("edge.cfg", kConfig)});
   ASSERT_EQ(post.size(), 1u);
-  EXPECT_FALSE(plain.report().rule_fires.empty());
+  EXPECT_GT(plain.report().Fires(core::Rule::kSegmentWords), 0u);
 }
 
 TEST(ObservedAnonymizer, JunosMetricsUsePrefix) {
@@ -432,8 +441,13 @@ TEST(ObservedAnonymizer, JunosMetricsUsePrefix) {
   const obs::RunMetrics metrics = registry.Snapshot();
   EXPECT_EQ(metrics.counters.at("junos.report.total_lines"),
             anonymizer.report().total_lines);
-  for (const auto& [rule, fires] : anonymizer.report().rule_fires) {
-    EXPECT_EQ(metrics.counters.at("junos.rule." + rule), fires) << rule;
+  for (const core::RuleInfo& rule : core::kRuleTable) {
+    const std::uint64_t fires = anonymizer.report().Fires(rule.id);
+    if (fires == 0) continue;
+    EXPECT_EQ(rule.dialect, core::RuleDialect::kJunos) << rule.name;
+    EXPECT_EQ(metrics.counters.at("junos.rule." + std::string(rule.name)),
+              fires)
+        << rule.name;
   }
   EXPECT_EQ(metrics.histograms.at("junos.line_ns").count,
             anonymizer.report().total_lines);
@@ -454,8 +468,7 @@ TEST(ObservedAnonymizer, JunosMetricsUsePrefix) {
         << name;
   }
   // The preload is not counted under the IOS rule I7.
-  EXPECT_FALSE(
-      anonymizer.report().rule_fires.contains(core::rules::kSubnetPreload));
+  EXPECT_EQ(anonymizer.report().Fires(core::Rule::kSubnetPreload), 0u);
 
   // Trace: the JunOS network and preload spans, the file span and
   // per-rule spans nested in it.

@@ -329,10 +329,9 @@ TEST(AnonymizeFile, StandaloneCallPreloadsOwnAddresses) {
   EXPECT_EQ(direct.ToText(), via_network[0].ToText());
 
   // The standalone path counts its preload under rule I7 too.
-  ASSERT_TRUE(
-      standalone.report().rule_fires.contains(core::rules::kSubnetPreload));
-  EXPECT_EQ(standalone.report().rule_fires.at(core::rules::kSubnetPreload),
-            reference.report().rule_fires.at(core::rules::kSubnetPreload));
+  EXPECT_GT(standalone.report().Fires(core::Rule::kSubnetPreload), 0u);
+  EXPECT_EQ(standalone.report().Fires(core::Rule::kSubnetPreload),
+            reference.report().Fires(core::Rule::kSubnetPreload));
 }
 
 TEST(AnonymizeFile, JunosStandaloneCallPreloadsOwnAddresses) {
@@ -392,7 +391,7 @@ TEST(CorpusPipeline, HooksCoverMetricsTraceAndProvenance) {
   EXPECT_TRUE(metrics.counters.contains("asn.rewrite_memo_hits"));
   // Rule I7 fired corpus-wide and landed under its sequential name.
   EXPECT_TRUE(metrics.counters.contains(
-      std::string("rule.") + core::rules::kSubnetPreload));
+      "rule." + std::string(core::RuleName(core::Rule::kSubnetPreload))));
 
   // The shared trace sink took events from every worker without tearing.
   EXPECT_GT(sink.event_count(), 0u);

@@ -222,7 +222,7 @@ TEST(VerifyPolicy, SamePolicyInputsTracksWhatTheVerifierReads) {
 
   EXPECT_FALSE(verify::SamePolicyInputs(builtin, WithExtra("zephyrix")));
   core::AnonymizerOptions disabled;
-  disabled.disabled_rules.insert(core::rules::kSnmpStrings);
+  disabled.disabled_rules.emplace(core::RuleName(core::Rule::kSnmpStrings));
   EXPECT_FALSE(verify::SamePolicyInputs(builtin, disabled));
   core::AnonymizerOptions truncated;
   truncated.pass_list = std::make_shared<const passlist::PassList>(
@@ -234,7 +234,7 @@ TEST(VerifyPolicy, SamePolicyInputsTracksWhatTheVerifierReads) {
 
 TEST(VerifyPolicy, DisablingWordHashUncoversEverySymbolSpace) {
   core::AnonymizerOptions options;
-  options.disabled_rules.insert(core::rules::kPasslistHash);
+  options.disabled_rules.emplace(core::RuleName(core::Rule::kPasslistHash));
   const AuditResult result = verify::VerifyEngineOptions(options);
   const auto findings = FindAll(result, "VER-005");
   // Nine refgraph symbol spaces, IOS only (JunOS has no disable surface).
@@ -246,7 +246,7 @@ TEST(VerifyPolicy, DisablingWordHashUncoversEverySymbolSpace) {
 
 TEST(VerifyPolicy, DisabledTransformRuleMapsToValueClass) {
   core::AnonymizerOptions options;
-  options.disabled_rules.insert(core::rules::kSnmpStrings);
+  options.disabled_rules.emplace(core::RuleName(core::Rule::kSnmpStrings));
   const AuditResult result = verify::VerifyEngineOptions(options);
   const auto findings = FindAll(result, "VER-006");
   ASSERT_EQ(findings.size(), 1u) << result.ToText();
@@ -261,6 +261,51 @@ TEST(VerifyPolicy, UnknownDisabledRuleNameIsFlagged) {
   const auto findings = FindAll(result, "VER-007");
   ASSERT_EQ(findings.size(), 1u) << result.ToText();
   EXPECT_EQ(findings.front()->severity, Severity::kWarning);
+}
+
+// JunOS rules cannot be disabled (the JunOS engine has no disable
+// surface), so a J.* name in disabled_rules is as inert as a misspelled
+// one: each raises VER-007, and neither dialect's output moves.
+TEST(VerifyPolicy, JunosAndMisspelledDisablesAreFlaggedAndInert) {
+  core::ServiceOptions crippled;
+  crippled.base.salt = "inert";
+  crippled.base.disabled_rules = {"J.passlist-hash", "T1.segmnet-words"};
+  crippled.allow_policy_warnings = true;
+
+  const AuditResult result = verify::VerifyEngineOptions(crippled.base);
+  const auto findings = FindAll(result, "VER-007");
+  ASSERT_EQ(findings.size(), 2u) << result.ToText();
+  EXPECT_NE(findings[0]->message.find("'J.passlist-hash'"), std::string::npos);
+  EXPECT_NE(findings[1]->message.find("'T1.segmnet-words'"),
+            std::string::npos);
+  EXPECT_EQ(result.findings.size(), 2u) << result.ToText();
+
+  const std::vector<config::ConfigFile> corpus = {
+      config::ConfigFile::FromText(
+          "r1", "hostname core\nroute-map UUNET-import permit 10\n"
+                "interface Ethernet0\n ip address 12.34.56.78 255.255.255.0\n"),
+      config::ConfigFile::FromText(
+          "r2", "system {\n    host-name core-fra-1;\n}\n"
+                "policy-options {\n    policy-statement UUNET-import {\n"
+                "    }\n}\n"
+                "interfaces {\n    lo0 {\n        unit 0 {\n"
+                "            family inet {\n"
+                "                address 10.9.8.7/32;\n"
+                "            }\n        }\n    }\n}\n")};
+  const auto run = [&](core::ServiceOptions options) {
+    const auto context = pipeline::MakeServiceContext(std::move(options));
+    pipeline::CorpusPipeline pipeline(context, context->CreateSession());
+    std::string text;
+    for (const auto& file : pipeline.AnonymizeCorpus(corpus)) {
+      text += file.ToText();
+    }
+    return text;
+  };
+  core::ServiceOptions plain;
+  plain.base.salt = "inert";
+  const std::string expected = run(plain);
+  EXPECT_EQ(run(crippled), expected);
+  EXPECT_EQ(expected.find("UUNET"), std::string::npos) << expected;
 }
 
 // --- SARIF --------------------------------------------------------------
