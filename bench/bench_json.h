@@ -7,8 +7,9 @@
 //     "report":  <AnonymizationReport> }
 // The per-phase latency histograms ("core.line_ns", "core.file_ns",
 // "asn.rewrite_ns", "leak.scan_ns", ...) carry p50/p90/p95/p99 inline;
-// the "rule.*" counters in metrics equal report.rule_fires by
-// construction (SyncReportDeltas). See docs/OBSERVABILITY.md.
+// the "rule.*" counters in metrics equal the report's "rule_fires" object
+// by construction: both come from AnonymizationReport::fires, the
+// counters through SyncReportDeltas. See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cstdio>
