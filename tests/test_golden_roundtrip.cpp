@@ -16,8 +16,12 @@
 //                            junos.rule.* counters of the registry
 //                            snapshot, one "name value" line each;
 //   <mode>.provenance.jsonl  the provenance log's WriteJsonl().
+// Every variant also compares the merged leak record (the identifiers
+// the section 6.1 grep-back searches for) with
+// tests/data/golden/leak/<mode>.txt.
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,12 +64,28 @@ std::vector<config::ConfigFile> LoadCorpus(const std::filesystem::path& dir) {
   return files;
 }
 
-void ExpectGoldenBytes(const std::string& leaf, const std::string& actual) {
-  const std::filesystem::path golden = GoldenDir("report") / leaf;
+void ExpectGoldenBytes(const std::filesystem::path& golden,
+                       const std::string& actual) {
   std::string error;
   const auto expected = util::ReadFileFully(golden.string(), &error);
   ASSERT_TRUE(expected.has_value()) << error;
   EXPECT_EQ(actual, *expected) << "byte drift vs " << golden.string();
+}
+
+/// The leak record, one "<kind> <value>" line per entry: hashed words,
+/// then public ASNs, then addresses, each in set order.
+std::string LeakRecordText(const core::LeakRecord& record) {
+  std::string out;
+  const auto append = [&](const char* kind,
+                          const std::set<std::string>& values) {
+    for (const std::string& value : values) {
+      out += std::string(kind) + " " + value + "\n";
+    }
+  };
+  append("word", record.hashed_words);
+  append("asn", record.public_asns);
+  append("address", record.addresses);
+  return out;
 }
 
 /// The registry's report and rule counters of both dialects, one
@@ -122,13 +142,20 @@ void CheckGolden(const std::string& mode, int threads, bool hooked = false) {
     EXPECT_GT(trace.event_count(), 0u);
     EXPECT_FALSE(provenance.empty());
 
-    ExpectGoldenBytes(mode + ".report.json", pipeline.report().ToJson() + "\n");
-    ExpectGoldenBytes(mode + ".report.txt", pipeline.report().ToString());
-    ExpectGoldenBytes(mode + ".counters.txt", ReportCounters(snapshot));
+    const std::filesystem::path report = GoldenDir("report");
+    ExpectGoldenBytes(report / (mode + ".report.json"),
+                      pipeline.report().ToJson() + "\n");
+    ExpectGoldenBytes(report / (mode + ".report.txt"),
+                      pipeline.report().ToString());
+    ExpectGoldenBytes(report / (mode + ".counters.txt"),
+                      ReportCounters(snapshot));
     std::ostringstream provenance_out;
     provenance.WriteJsonl(provenance_out);
-    ExpectGoldenBytes(mode + ".provenance.jsonl", provenance_out.str());
+    ExpectGoldenBytes(report / (mode + ".provenance.jsonl"),
+                      provenance_out.str());
   }
+  ExpectGoldenBytes(GoldenDir("leak") / (mode + ".txt"),
+                    LeakRecordText(pipeline.leak_record()));
 
   const std::filesystem::path post = GoldenDir("post-" + mode);
   std::size_t expected_files = 0;
