@@ -1,6 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "util/strings.h"
 
@@ -229,6 +231,24 @@ void AnonymizerEngine::RecordRewrite(const asn::RewriteResult& result) {
   if (dfa_states_total_ != nullptr) {
     dfa_states_total_->Add(result.dfa_states);
   }
+}
+
+void AnonymizerEngine::RecordAddress(net::Ipv4Address original) {
+  if (recorded_addresses_.insert(original.value()).second) {
+    leak_record_.addresses.insert(original.ToString());
+  }
+}
+
+std::string_view AnonymizerEngine::StoreAddress(
+    net::Ipv4Address address, std::optional<std::uint64_t> length) {
+  char text[net::Ipv4Address::kMaxTextSize + 3];  // "/32" at most
+  std::size_t size = address.FormatTo(text);
+  if (length) {
+    text[size++] = '/';
+    size = static_cast<std::size_t>(
+        std::to_chars(text + size, std::end(text), *length).ptr - text);
+  }
+  return arena_.Store(std::string_view(text, size));
 }
 
 void AnonymizerEngine::SyncMetrics() {

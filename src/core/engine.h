@@ -26,6 +26,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "asn/asn_map.h"
@@ -196,6 +197,17 @@ class AnonymizerEngine {
   /// re-adding DFA states / rewrite latency.
   void RecordRewrite(const asn::RewriteResult& result);
 
+  /// Adds a mapped address's original to leak_record_.addresses. An
+  /// address occurs many times in a network, so only this engine's
+  /// first sight of a value formats and inserts it.
+  void RecordAddress(net::Ipv4Address original);
+
+  /// Copies `address`'s dotted quad into the arena, followed by
+  /// "/<length>" when `length` (at most 32) is set: a CIDR token keeps
+  /// its length.
+  std::string_view StoreAddress(net::Ipv4Address address,
+                                std::optional<std::uint64_t> length);
+
   std::shared_ptr<const passlist::PassList> pass_list_;
   std::shared_ptr<NetworkState> state_;
   AnonymizationReport report_;
@@ -236,6 +248,8 @@ class AnonymizerEngine {
   obs::Counter* rewrite_memo_hits_ = nullptr;
   /// Rules that fired on the line ObserveLine is observing.
   RuleSet line_fired_;
+  /// Values already in leak_record_.addresses.
+  std::unordered_set<std::uint32_t> recorded_addresses_;
   /// Last report/arena/trie state already pushed to the registry.
   AnonymizationReport synced_report_;
   ipanon::IpAnonymizer::Stats synced_ip_;

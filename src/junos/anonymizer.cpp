@@ -201,7 +201,8 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
   }
 
   // Word-token indices (skipping punctuation) for context matching.
-  std::vector<std::size_t> word_at;
+  std::vector<std::size_t>& word_at = word_at_;
+  word_at.clear();
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     if (tokens[i].kind == Token::Kind::kWord ||
         tokens[i].kind == Token::Kind::kString) {
@@ -212,7 +213,8 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
   const auto word = [&](std::size_t w) -> std::string_view {
     return tokens[word_at[w]].text;
   };
-  std::vector<bool> handled(tokens.size(), false);
+  std::vector<bool>& handled = handled_;
+  handled.assign(tokens.size(), false);
 
   // JunOS allows several statements on one line ("group x { peer-as 701;
   // neighbor 4.4.4.4; }"), so context rules scan every word position, not
@@ -344,10 +346,9 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
       Fire(core::Rule::kJunosSpecialPassthrough);
       continue;
     }
-    leak_record_.addresses.insert(address->ToString());
-    std::string mapped = state_->ip.Map(*address).ToString();
-    if (cidr) mapped += "/" + std::to_string(length);
-    token.text = arena_.Store(mapped);
+    RecordAddress(*address);
+    token.text = StoreAddress(state_->ip.Map(*address),
+                              cidr ? std::optional(length) : std::nullopt);
     ++report_.addresses_mapped;
     Fire(cidr ? core::Rule::kJunosMapPrefixes : core::Rule::kJunosMapAddresses);
   }

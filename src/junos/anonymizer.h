@@ -123,6 +123,10 @@ class JunosAnonymizer : public core::AnonymizerEngine {
   bool in_block_comment_ = false;
   /// Reused across lines so tokenize allocates nothing in steady state.
   JunosLine line_buf_;
+  /// ProcessLine's per-line scratch, reused the same way: the indices of
+  /// the word and string tokens, and which tokens a rule has handled.
+  std::vector<std::size_t> word_at_;
+  std::vector<bool> handled_;
 };
 
 }  // namespace confanon::junos

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cstdio>
 
 #include "util/strings.h"
 
@@ -47,11 +46,35 @@ std::optional<Ipv4Address> Ipv4Address::Parse(std::string_view text) {
   return Ipv4Address(value);
 }
 
+namespace {
+
+/// Writes `octet` in decimal without leading zeros; returns the end.
+char* FormatOctet(unsigned octet, char* out) {
+  if (octet >= 100) {
+    *out++ = static_cast<char>('0' + octet / 100);
+    octet %= 100;
+    *out++ = static_cast<char>('0' + octet / 10);
+  } else if (octet >= 10) {
+    *out++ = static_cast<char>('0' + octet / 10);
+  }
+  *out++ = static_cast<char>('0' + octet % 10);
+  return out;
+}
+
+}  // namespace
+
+std::size_t Ipv4Address::FormatTo(char* out) const {
+  char* end = FormatOctet(Octet(0), out);
+  for (int i = 1; i < 4; ++i) {
+    *end++ = '.';
+    end = FormatOctet(Octet(i), end);
+  }
+  return static_cast<std::size_t>(end - out);
+}
+
 std::string Ipv4Address::ToString() const {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", Octet(0), Octet(1), Octet(2),
-                Octet(3));
-  return buf;
+  char buf[kMaxTextSize];
+  return std::string(buf, FormatTo(buf));
 }
 
 AddrClass Ipv4Address::GetClass() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -38,6 +39,14 @@ class Ipv4Address {
   /// are accepted (configs contain them) but octets longer than 3 digits
   /// are not.
   static std::optional<Ipv4Address> Parse(std::string_view text);
+
+  /// Length of the longest dotted quad, "255.255.255.255".
+  static constexpr std::size_t kMaxTextSize = 15;
+
+  /// Writes the dotted quad (octets in decimal, no leading zeros) to
+  /// `out`, which must have room for kMaxTextSize bytes, and returns the
+  /// number of bytes written. Allocates nothing.
+  std::size_t FormatTo(char* out) const;
 
   /// Formats as dotted-quad.
   std::string ToString() const;

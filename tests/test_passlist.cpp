@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace confanon::passlist {
 namespace {
@@ -48,6 +49,38 @@ TEST(PassList, CaseInsensitive) {
   custom.Add("FooBar");
   EXPECT_TRUE(custom.Contains("foobar"));
   EXPECT_TRUE(custom.Contains("FOOBAR"));
+}
+
+TEST(PassList, ContainsFoldsMixedCase) {
+  PassList list;
+  list.Add("GigabitEthernet");
+  EXPECT_TRUE(list.Contains("gigabitethernet"));
+  EXPECT_TRUE(list.Contains("gIgAbItEtHeRnEt"));
+  EXPECT_TRUE(list.Contains("GIGABITETHERNET"));
+  EXPECT_FALSE(list.Contains("GigabitEthernet0"));
+  EXPECT_FALSE(list.Contains("Gigabit"));
+  EXPECT_FALSE(list.Contains(""));
+}
+
+TEST(PassList, ContainsTokensLongerThanTheLookupBuffer) {
+  // Contains lowercases into a 64-byte stack buffer; longer tokens take
+  // the allocating path and must answer the same.
+  for (const std::size_t size : {std::size_t{63}, std::size_t{64},
+                                 std::size_t{65}, std::size_t{300}}) {
+    std::string token;
+    for (std::size_t i = 0; i < size; ++i) {
+      token += static_cast<char>('a' + i % 26);
+    }
+    PassList list;
+    list.Add(token);
+    std::string upper = token;
+    for (char& c : upper) c = static_cast<char>(c - 'a' + 'A');
+    EXPECT_TRUE(list.Contains(token)) << size;
+    EXPECT_TRUE(list.Contains(upper)) << size;
+    EXPECT_FALSE(list.Contains(token + "x")) << size;
+    EXPECT_FALSE(list.Contains(token.substr(1))) << size;
+    EXPECT_TRUE(list.PassesWord(upper + "-" + upper)) << size;
+  }
 }
 
 TEST(PassList, AddAndMerge) {
