@@ -27,7 +27,9 @@
 #include "ipanon/cryptopan.h"
 #include "ipanon/ip_anonymizer.h"
 #include "config/tokenizer.h"
+#include "net/ipv4.h"
 #include "obs/hooks.h"
+#include "passlist/passlist.h"
 #include "pipeline/pipeline.h"
 #include "util/aho_corasick.h"
 #include "util/charscan.h"
@@ -193,6 +195,38 @@ void BM_SegmentWord(benchmark::State& state) {
   state.SetLabel(util::CharScanImplName());
 }
 BENCHMARK(BM_SegmentWord);
+
+void BM_Ipv4AddressToString(benchmark::State& state) {
+  // Dotted-quad rendering of the addresses rules I1/I3 map, with one-,
+  // two- and three-digit octets mixed.
+  util::Rng rng(4);
+  std::vector<net::Ipv4Address> addresses;
+  for (int i = 0; i < 4096; ++i) {
+    addresses.emplace_back(static_cast<std::uint32_t>(rng.Next()));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(addresses[i++ & 4095].ToString());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Ipv4AddressToString);
+
+void BM_PassListContains(benchmark::State& state) {
+  // The rule T2 membership test on the builtin list: keywords in mixed
+  // case, and identifiers it does not hold.
+  const passlist::PassList& list = *passlist::PassList::SharedBuiltin();
+  const std::vector<std::string> tokens = {
+      "interface", "GigabitEthernet", "neighbor", "UUNET", "remote",
+      "route",     "map",             "import",   "acme", "Loopback",
+  };
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(list.Contains(tokens[i++ % tokens.size()]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PassListContains);
 
 std::vector<config::ConfigFile> BenchCorpus(int routers) {
   gen::GeneratorParams params;
