@@ -60,9 +60,12 @@ class StringHasher {
 
   /// Transparent hash so the memo can be probed with a string_view
   /// without materializing a temporary std::string per lookup.
+  /// Deliberately not noexcept: libstdc++ keeps each node's hash code
+  /// only for a hash that may throw, and without kept codes every probe
+  /// rehashes the keys it walks past.
   struct TransparentHash {
     using is_transparent = void;
-    std::size_t operator()(std::string_view text) const noexcept {
+    std::size_t operator()(std::string_view text) const {
       return std::hash<std::string_view>{}(text);
     }
   };
