@@ -680,8 +680,7 @@ void Anonymizer::ApplyTokenRules(LineCtx& ctx) {
           ++report_.addresses_special;
           Fire(Rule::kSpecialPassthrough);
         } else {
-          RecordAddress(*prefix);
-          ctx.SetWordRef(i, StoreAddress(state_->ip.Map(*prefix), length));
+          ctx.SetWordRef(i, StoreAddress(MapAddress(*prefix), length));
           ++report_.addresses_mapped;
           Fire(Rule::kMapPrefixes);
         }
@@ -697,9 +696,7 @@ void Anonymizer::ApplyTokenRules(LineCtx& ctx) {
         } else if (map_addresses) {
           // Rule I1: everything else is mapped through the
           // prefix-preserving trie.
-          RecordAddress(*address);
-          ctx.SetWordRef(
-              i, StoreAddress(state_->ip.Map(*address), std::nullopt));
+          ctx.SetWordRef(i, StoreAddress(MapAddress(*address), std::nullopt));
           handled[i] = true;
           ++report_.addresses_mapped;
           Fire(Rule::kMapAddresses);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <iterator>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -102,6 +103,9 @@ config::ConfigFile AnonymizerEngine::AnonymizeFile(
   // Every line has been rendered into an owned output string; no
   // arena-backed view survives past this point.
   arena_.Reset();
+  // One relaxed add per file keeps the trie's cache_hits counting every
+  // mapped lookup, including those the engine's memo served.
+  if (memo_hits_ != 0) state_->ip.CountHits(std::exchange(memo_hits_, 0));
 
   if (observing) {
     const std::int64_t file_ns =
@@ -233,10 +237,16 @@ void AnonymizerEngine::RecordRewrite(const asn::RewriteResult& result) {
   }
 }
 
-void AnonymizerEngine::RecordAddress(net::Ipv4Address original) {
-  if (recorded_addresses_.insert(original.value()).second) {
-    leak_record_.addresses.insert(original.ToString());
+net::Ipv4Address AnonymizerEngine::MapAddress(net::Ipv4Address original) {
+  const auto cached = address_memo_.find(original.value());
+  if (cached != address_memo_.end()) {
+    ++memo_hits_;
+    return net::Ipv4Address(cached->second);
   }
+  leak_record_.addresses.insert(original.ToString());
+  const net::Ipv4Address image = state_->ip.Map(original);
+  address_memo_.emplace(original.value(), image.value());
+  return image;
 }
 
 std::string_view AnonymizerEngine::StoreAddress(

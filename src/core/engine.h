@@ -26,7 +26,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "asn/asn_map.h"
@@ -197,10 +197,13 @@ class AnonymizerEngine {
   /// re-adding DFA states / rewrite latency.
   void RecordRewrite(const asn::RewriteResult& result);
 
-  /// Adds a mapped address's original to leak_record_.addresses. An
-  /// address occurs many times in a network, so only this engine's
-  /// first sight of a value formats and inserts it.
-  void RecordAddress(net::Ipv4Address original);
+  /// Maps a non-special address through this engine's address memo and
+  /// records its original in leak_record_.addresses. Only the engine's
+  /// first sight of a value formats and records it and reaches the
+  /// shared trie; later sights return the memoized image and touch no
+  /// NetworkState member. The trie never rewrites a mapping it has
+  /// returned, so the memo cannot go stale.
+  net::Ipv4Address MapAddress(net::Ipv4Address original);
 
   /// Copies `address`'s dotted quad into the arena, followed by
   /// "/<length>" when `length` (at most 32) is set: a CIDR token keeps
@@ -248,8 +251,12 @@ class AnonymizerEngine {
   obs::Counter* rewrite_memo_hits_ = nullptr;
   /// Rules that fired on the line ObserveLine is observing.
   RuleSet line_fired_;
-  /// Values already in leak_record_.addresses.
-  std::unordered_set<std::uint32_t> recorded_addresses_;
+  /// Original -> image of every address MapAddress has mapped; its keys
+  /// are the values in leak_record_.addresses.
+  std::unordered_map<std::uint32_t, std::uint32_t> address_memo_;
+  /// MapAddress calls served by address_memo_ since the last file end,
+  /// when they are added to the trie's cache_hits counter.
+  std::uint64_t memo_hits_ = 0;
   /// Last report/arena/trie state already pushed to the registry.
   AnonymizationReport synced_report_;
   ipanon::IpAnonymizer::Stats synced_ip_;

@@ -9,7 +9,9 @@
 //
 // Concurrency contract (what makes the parallel pipeline sound):
 //   * hasher     — internally sharded + locked; Hash() is thread-safe.
-//   * ip         — shared_mutex'd trie; Map() is thread-safe.
+//   * ip         — shared_mutex'd trie; Map() is thread-safe. Engines
+//     keep their own memo of its results (a returned mapping never
+//     changes), so a worker reaches it once per distinct address.
 //   * asn_map, community_values — immutable after construction (a keyed
 //     permutation is a pure function); concurrent Map() is trivially safe.
 //   * community, aspath_rewriter, community_rewriter — const views over

@@ -27,7 +27,11 @@
 // lock. After a corpus-wide Preload the file-processing phase is
 // effectively read-only — every Map() hits the memo — which is what makes
 // the parallel corpus pipeline byte-identical to the sequential path: no
-// RNG is consumed in any thread-interleaving-dependent order.
+// RNG is consumed in any thread-interleaving-dependent order. A mapping
+// once returned never changes (memo entries are never erased, and
+// ImportMappings throws rather than rewrite a flip), so callers may keep
+// their own memo of Map() results: each core::AnonymizerEngine does, and
+// reaches the trie once per distinct address it sees.
 #pragma once
 
 #include <atomic>
@@ -79,7 +83,8 @@ class IpAnonymizer {
   /// increments on the paths that already pay a hash lookup or trie walk).
   /// The observability layer snapshots these into the metrics registry.
   struct Stats {
-    std::uint64_t cache_hits = 0;    // memoized raw mappings served
+    std::uint64_t cache_hits = 0;    // lookups served by a memo (this
+                                     // one's, or a caller's: CountHits)
     std::uint64_t cache_misses = 0;  // raw mappings that walked the trie
     std::uint64_t collision_walks = 0;  // cycle-walk steps taken by Map()
     std::uint64_t preloaded = 0;     // addresses inserted by Preload()
@@ -87,6 +92,12 @@ class IpAnonymizer {
   /// Snapshot of the counters (consistent enough for reporting; each
   /// field is read with relaxed ordering).
   Stats stats() const;
+
+  /// Adds `hits` lookups that a caller's own memo of Map() results served
+  /// to cache_hits, so the counter still covers every mapped lookup.
+  void CountHits(std::uint64_t hits) {
+    cache_hits_.fetch_add(hits, std::memory_order_relaxed);
+  }
 
   /// Writes "input output" dotted-quad pairs, one per line, for every
   /// address mapped so far. Another instance can ImportMappings() them to

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "core/leak_detector.h"
+#include "core/session.h"
 #include "core/string_hasher.h"
 #include "net/prefix.h"
 #include "util/strings.h"
@@ -466,6 +468,13 @@ TEST(Anonymizer, LeakRecordListsEachAddressOnce) {
   EXPECT_EQ(anonymizer.report().addresses_mapped, 6u);
   EXPECT_EQ(anonymizer.report().Fires(Rule::kMapAddresses), 4u);
   EXPECT_EQ(anonymizer.report().Fires(Rule::kMapPrefixes), 2u);
+  // Every mapped occurrence counts as one trie cache hit, whether the
+  // trie or the engine's own memo served it; the preload walked the trie
+  // once per distinct address.
+  const ipanon::IpAnonymizer::Stats stats = anonymizer.ip_anonymizer().stats();
+  EXPECT_EQ(stats.cache_hits, 6u);
+  EXPECT_EQ(stats.preloaded, 2u);
+  EXPECT_EQ(stats.cache_misses, stats.preloaded);
   const std::string image =
       anonymizer.ip_anonymizer().Map(*net::Ipv4Address::Parse("12.1.1.1"))
           .ToString();
@@ -475,6 +484,74 @@ TEST(Anonymizer, LeakRecordListsEachAddressOnce) {
             std::string::npos);
   EXPECT_NE(out[1].ToText().find("permit " + image + "/24\n"),
             std::string::npos);
+}
+
+TEST(Anonymizer, OnDemandAddressesEnterTheTrieInFirstSightOrder) {
+  // With rule I7 disabled nothing is preloaded: an address enters the
+  // trie when the engine first maps it. Addresses repeat within and
+  // across the files, and two first appear in the second file; each
+  // must map as a fresh trie fed the first occurrences in order maps it.
+  AnonymizerOptions options;
+  options.salt = "test-salt";
+  options.disabled_rules = {"I7.subnet-preload"};
+  Anonymizer anonymizer(std::move(options));
+  const auto out = anonymizer.AnonymizeNetwork(
+      {config::ConfigFile::FromText(
+           "r1", "logging 12.1.1.9\nlogging 99.4.3.2\nlogging 12.1.1.9\n"),
+       config::ConfigFile::FromText(
+           "r2", "logging 99.4.3.2\nlogging 12.1.1.1\nlogging 12.1.1.9\n"
+                 "logging 99.4.3.1\nlogging 12.1.1.1\n")});
+  EXPECT_EQ(anonymizer.ip_anonymizer().stats().preloaded, 0u);
+
+  const std::vector<std::string> first_sights = {"12.1.1.9", "99.4.3.2",
+                                                 "12.1.1.1", "99.4.3.1"};
+  const auto images = [&](const std::vector<std::string>& order) {
+    ipanon::IpAnonymizer trie("test-salt");
+    std::map<std::string, std::string> image;
+    for (const std::string& address : order) {
+      image[address] = trie.Map(*net::Ipv4Address::Parse(address)).ToString();
+    }
+    return image;
+  };
+  std::map<std::string, std::string> image = images(first_sights);
+  // The data tells orders apart: sorted insertion maps differently.
+  ASSERT_NE(image, images({"12.1.1.1", "12.1.1.9", "99.4.3.1", "99.4.3.2"}));
+  EXPECT_EQ(out[0].ToText(), "logging " + image["12.1.1.9"] + "\nlogging " +
+                                 image["99.4.3.2"] + "\nlogging " +
+                                 image["12.1.1.9"] + "\n");
+  EXPECT_EQ(out[1].ToText(), "logging " + image["99.4.3.2"] + "\nlogging " +
+                                 image["12.1.1.1"] + "\nlogging " +
+                                 image["12.1.1.9"] + "\nlogging " +
+                                 image["99.4.3.1"] + "\nlogging " +
+                                 image["12.1.1.1"] + "\n");
+}
+
+TEST(Anonymizer, EnginesOverOneStateKeepTheirOwnAddressRecords) {
+  // Two engines over one session's NetworkState, as two daemon requests
+  // of one tenant are: each lists every address it mapped, including one
+  // the other engine mapped first, and both render the same image.
+  ServiceOptions options;
+  options.base.salt = "test-salt";
+  const ServiceContext context(std::move(options));
+  const auto session = context.CreateSession();
+  const auto first = context.MakeEngine(ConfigDialect::kIos, *session);
+  const auto second = context.MakeEngine(ConfigDialect::kIos, *session);
+  const std::string first_out =
+      first->AnonymizeFile(File("logging 12.1.1.1\nlogging 12.1.1.5\n"))
+          .ToText();
+  const std::string second_out =
+      second->AnonymizeFile(File("logging 12.1.1.7\nlogging 12.1.1.1\n"))
+          .ToText();
+  EXPECT_EQ(first->leak_record().addresses,
+            (std::set<std::string>{"12.1.1.1", "12.1.1.5"}));
+  EXPECT_EQ(second->leak_record().addresses,
+            (std::set<std::string>{"12.1.1.1", "12.1.1.7"}));
+  const std::string image =
+      session->state()->ip.Map(*net::Ipv4Address::Parse("12.1.1.1"))
+          .ToString();
+  EXPECT_EQ(first_out.substr(0, first_out.find('\n')), "logging " + image);
+  EXPECT_EQ(second_out.substr(second_out.find('\n') + 1),
+            "logging " + image + "\n");
 }
 
 // --- leak detector specifics ---

@@ -216,6 +216,13 @@ TEST(JunosAnonymizer, LeakRecordListsEachAddressOnce) {
   EXPECT_EQ(anonymizer.report().addresses_mapped, 5u);
   EXPECT_EQ(anonymizer.report().Fires(core::Rule::kJunosMapAddresses), 3u);
   EXPECT_EQ(anonymizer.report().Fires(core::Rule::kJunosMapPrefixes), 2u);
+  // Every mapped occurrence counts as one trie cache hit, whether the
+  // trie or the engine's own memo served it; the preload walked the trie
+  // once per distinct address.
+  const ipanon::IpAnonymizer::Stats stats = anonymizer.ip_anonymizer().stats();
+  EXPECT_EQ(stats.cache_hits, 5u);
+  EXPECT_EQ(stats.preloaded, 2u);
+  EXPECT_EQ(stats.cache_misses, stats.preloaded);
   const std::string image =
       anonymizer.ip_anonymizer().Map(*net::Ipv4Address::Parse("12.34.56.1"))
           .ToString();
