@@ -1,5 +1,7 @@
 #include "analysis/regex_usage.h"
 
+#include <algorithm>
+
 #include "asn/community.h"
 #include "asn/regex_rewrite.h"
 #include "config/tokenizer.h"
@@ -55,14 +57,10 @@ RegexUsage DetectRegexUsage(const std::vector<config::ConfigFile>& configs) {
         if (HasAlternation(pattern)) usage.asn_alternation = true;
         if (HasRangeOrWildcard(pattern)) {
           try {
-            bool any_public = false;
-            for (std::uint32_t asn : asn::EnumerateLanguage(pattern)->accepted) {
-              if (asn::IsPublicAsn(asn)) {
-                any_public = true;
-                break;
-              }
-            }
-            if (any_public) {
+            const std::vector<std::uint32_t> language =
+                asn::TokenLanguage::Compile(pattern).Enumerate();
+            if (std::any_of(language.begin(), language.end(),
+                            asn::IsPublicAsn)) {
               usage.asn_range_public = true;
             } else {
               usage.asn_range_private = true;

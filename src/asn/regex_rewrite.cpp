@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <utility>
 
 #include "regex/dfa_to_regex.h"
 #include "regex/nfa.h"
@@ -112,49 +114,37 @@ bool TokenLanguage::Accepts(std::uint32_t value) const {
 }
 
 std::vector<std::uint32_t> TokenLanguage::Enumerate() const {
-  std::vector<std::uint32_t> accepted;
-  for (std::uint32_t value = 0; value <= 65535; ++value) {
-    if (Accepts(value)) accepted.push_back(value);
+  constexpr std::uint32_t kMaxValue = 65535;
+  const regex::Dfa& dfa = *dfa_;
+  const std::vector<bool> alive = dfa.AliveStates();
+  // Depth-first over decimal strings: each entry is a value and the state
+  // its framed prefix "<begin><digits>" leads to.
+  std::vector<std::pair<int, std::uint32_t>> stack;
+  const int begin = dfa.Transition(dfa.start(), regex::kBeginSentinel);
+  for (std::uint32_t digit = 0; digit <= 9; ++digit) {
+    stack.emplace_back(dfa.Transition(begin, static_cast<char>('0' + digit)),
+                       digit);
   }
+  std::vector<std::uint32_t> accepted;
+  while (!stack.empty()) {
+    const auto [state, value] = stack.back();
+    stack.pop_back();
+    if (!alive[static_cast<std::size_t>(state)]) continue;
+    if (dfa.IsAccepting(dfa.Transition(state, regex::kEndSentinel))) {
+      accepted.push_back(value);
+    }
+    if (value == 0) continue;  // no leading zeros
+    for (std::uint32_t digit = 0;
+         digit <= 9 && value * 10 + digit <= kMaxValue; ++digit) {
+      stack.emplace_back(dfa.Transition(state, static_cast<char>('0' + digit)),
+                         value * 10 + digit);
+    }
+  }
+  std::sort(accepted.begin(), accepted.end());
   return accepted;
 }
 
 int TokenLanguage::StateCount() const { return dfa_->StateCount(); }
-
-std::shared_ptr<const EnumeratedLanguage> EnumerateLanguage(
-    std::string_view pattern) {
-  struct Cache {
-    std::mutex mutex;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const EnumeratedLanguage>>
-        entries;
-  };
-  // Stop inserting (but keep serving) past this size so a daemon fed
-  // adversarial pattern streams cannot grow the cache without bound.
-  constexpr std::size_t kMaxEntries = 4096;
-  static Cache cache;
-  {
-    const std::lock_guard<std::mutex> lock(cache.mutex);
-    const auto it = cache.entries.find(std::string(pattern));
-    if (it != cache.entries.end()) return it->second;
-  }
-  // Compile and enumerate outside the lock: racing threads may duplicate
-  // the work once, but never serialize the 2^16 scan behind the mutex.
-  const TokenLanguage language = TokenLanguage::Compile(pattern);
-  auto entry = std::make_shared<EnumeratedLanguage>();
-  entry->dfa_states = language.StateCount();
-  entry->accepted = language.Enumerate();
-  const std::lock_guard<std::mutex> lock(cache.mutex);
-  const auto [it, inserted] = cache.entries.try_emplace(
-      std::string(pattern), std::move(entry));
-  if (!inserted) return it->second;  // a racing thread stored first
-  if (cache.entries.size() > kMaxEntries) {
-    auto result = it->second;
-    cache.entries.erase(it);
-    return result;
-  }
-  return it->second;
-}
 
 std::string RenderLanguage(const std::vector<std::uint32_t>& values,
                            RewriteForm form) {
@@ -231,16 +221,15 @@ RewriteResult AsnRegexRewriter::RewriteUncached(std::string_view pattern,
   result.pattern = std::string(pattern);
   const RewriteStopwatch stopwatch(result);
 
-  const auto language = EnumerateLanguage(pattern);
-  result.dfa_states = static_cast<std::size_t>(language->dfa_states);
-  const std::vector<std::uint32_t>& accepted = language->accepted;
+  const TokenLanguage language = TokenLanguage::Compile(pattern);
+  result.dfa_states = static_cast<std::size_t>(language.StateCount());
+  const std::vector<std::uint32_t> accepted = language.Enumerate();
   result.language_size = accepted.size();
-  for (std::uint32_t asn : accepted) {
-    if (IsPublicAsn(asn)) ++result.public_members;
-  }
+  std::copy_if(accepted.begin(), accepted.end(),
+               std::back_inserter(result.public_asns), IsPublicAsn);
   // "If the accepted language includes only private ASNs, which do not
   // need anonymization, no changes are required to the regexp."
-  if (result.public_members == 0 || accepted.empty()) {
+  if (result.public_asns.empty()) {
     return result;
   }
 
@@ -284,16 +273,16 @@ RewriteResult CommunityRegexRewriter::RewriteUncached(
   const std::string_view asn_part = pattern.substr(0, colon);
   const std::string_view value_part = pattern.substr(colon + 1);
 
-  const auto asn_compiled = EnumerateLanguage(asn_part);
-  const auto value_compiled = EnumerateLanguage(value_part);
-  result.dfa_states = static_cast<std::size_t>(asn_compiled->dfa_states) +
-                      static_cast<std::size_t>(value_compiled->dfa_states);
-  const std::vector<std::uint32_t>& asn_language = asn_compiled->accepted;
-  const std::vector<std::uint32_t>& value_language = value_compiled->accepted;
+  const TokenLanguage asn_compiled = TokenLanguage::Compile(asn_part);
+  const TokenLanguage value_compiled = TokenLanguage::Compile(value_part);
+  result.dfa_states = static_cast<std::size_t>(asn_compiled.StateCount()) +
+                      static_cast<std::size_t>(value_compiled.StateCount());
+  const std::vector<std::uint32_t> asn_language = asn_compiled.Enumerate();
+  const std::vector<std::uint32_t> value_language =
+      value_compiled.Enumerate();
   result.language_size = asn_language.size() * value_language.size();
-  for (std::uint32_t a : asn_language) {
-    if (IsPublicAsn(a)) ++result.public_members;
-  }
+  std::copy_if(asn_language.begin(), asn_language.end(),
+               std::back_inserter(result.public_asns), IsPublicAsn);
   if (asn_language.empty() || value_language.empty()) {
     return result;
   }

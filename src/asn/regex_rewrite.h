@@ -44,36 +44,19 @@ class TokenLanguage {
   /// True if the pattern accepts `value` (0..65535) as a standalone token.
   bool Accepts(std::uint32_t value) const;
 
-  /// All accepted values in ascending order.
+  /// All accepted values in ascending order: the set Accepts() holds for.
+  /// Walks the DFA over decimal strings digit by digit, skipping states
+  /// that cannot reach acceptance, so the cost grows with the language,
+  /// not with the 2^16 space.
   std::vector<std::uint32_t> Enumerate() const;
 
-  /// Number of DFA states the compiled pattern uses (instrumentation; the
-  /// language computation's cost is linear in states x subject length).
+  /// Number of DFA states the compiled pattern uses (instrumentation).
   int StateCount() const;
 
  private:
   TokenLanguage() = default;
   std::shared_ptr<const regex::Dfa> dfa_;
 };
-
-/// A compiled pattern's accepted language over the 2^16 token space plus
-/// the DFA size that produced it.
-struct EnumeratedLanguage {
-  /// Accepted values in ascending order.
-  std::vector<std::uint32_t> accepted;
-  int dfa_states = 0;
-};
-
-/// Compiles `pattern` and enumerates its accepted language, memoized
-/// process-wide by pattern text. The language is a pure function of the
-/// pattern — unlike RewriteResult it does not depend on any per-network
-/// permutation — so one enumeration serves every engine, network, and
-/// tenant in the process. Corpora repeat the same handful of as-path and
-/// community regexps across networks; without this memo each network
-/// re-runs the 2^16-membership scan per pattern. Throws regex::ParseError
-/// on malformed patterns (failures are not cached). Thread-safe.
-std::shared_ptr<const EnumeratedLanguage> EnumerateLanguage(
-    std::string_view pattern);
 
 /// How the rewritten language is rendered.
 enum class RewriteForm {
@@ -89,8 +72,11 @@ struct RewriteResult {
   bool changed = false;
   /// Size of the accepted language over the 16-bit space.
   std::size_t language_size = 0;
-  /// How many accepted values were public ASNs (pre-anonymization).
-  std::size_t public_members = 0;
+  /// The accepted values that are public ASNs (pre-anonymization), in
+  /// ascending order; of the ASN half for community patterns. Every one
+  /// is identity-bearing, so the rule packs record them for the leak
+  /// detector.
+  std::vector<std::uint32_t> public_asns;
   /// Instrumentation: total DFA states compiled for this rewrite (both
   /// halves for community patterns) and wall time spent in Rewrite().
   std::size_t dfa_states = 0;
@@ -105,9 +91,9 @@ struct RewriteResult {
 /// generated corpora repeat the same handful of as-path/community
 /// regexps across hundreds of routers; since the rewriters are pure
 /// functions of their (immutable-after-seed) permutations, the rewrite —
-/// parse, NFA, DFA, 2^16-membership enumeration, regex reconstruction —
-/// only needs to run once per distinct pattern. Thread-safe: pipeline
-/// workers share one memo per rewriter.
+/// parse, NFA, DFA, the walk for the language, regex reconstruction —
+/// only needs to run once per distinct pattern of a network. Thread-safe:
+/// pipeline workers share one memo per rewriter.
 class RewriteMemo {
  public:
   explicit RewriteMemo(std::size_t capacity = 1024) : capacity_(capacity) {}

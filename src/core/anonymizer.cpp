@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "config/tokenizer.h"
-#include "core/session.h"
 #include "net/prefix.h"
 #include "net/special.h"
 #include "util/charscan.h"
@@ -101,9 +100,6 @@ void Anonymizer::LineCtx::ReplaceTailWith(std::size_t from,
 
 Anonymizer::Anonymizer(AnonymizerOptions options)
     : Anonymizer(std::move(options), nullptr) {}
-
-Anonymizer::Anonymizer(const ServiceContext& context, const Session& session)
-    : Anonymizer(context.EngineOptions(session), session.state()) {}
 
 Anonymizer::Anonymizer(AnonymizerOptions options,
                        std::shared_ptr<NetworkState> state)
@@ -343,7 +339,7 @@ void Anonymizer::ApplyAsnLineRules(LineCtx& ctx) {
       }
       RecordRewrite(result);
       // Every public ASN the pattern accepted is identity-bearing.
-      for (std::uint32_t a : AcceptedPublicAsns(pattern)) RecordAsn(a);
+      for (std::uint32_t a : result.public_asns) RecordAsn(a);
       if (result.changed) {
         // The tail collapses to one rewritten word at index 5; the
         // leading keywords stay for the later passes (they are all
@@ -485,21 +481,6 @@ void Anonymizer::ExportKnownEntities(std::ostream& out) {
     }
     out << '\n';
   }
-}
-
-std::vector<std::uint32_t> Anonymizer::AcceptedPublicAsns(
-    std::string_view pattern) const {
-  std::vector<std::uint32_t> result;
-  try {
-    const auto language = asn::EnumerateLanguage(pattern);
-    for (std::uint32_t a : language->accepted) {
-      if (asn::IsPublicAsn(a)) result.push_back(a);
-    }
-  } catch (const regex::ParseError&) {
-    // Unparseable pattern: nothing to record; the rewrite left it alone
-    // and the leak detector will flag any numeric survivors.
-  }
-  return result;
 }
 
 void Anonymizer::ApplyMiscLineRules(LineCtx& ctx) {

@@ -104,9 +104,6 @@ struct AnonymizerOptions {
   std::vector<KnownEntity> known_entities;
 };
 
-class ServiceContext;
-class Session;
-
 /// The IOS rule pack over the shared line engine (core/engine.h).
 class Anonymizer : public AnonymizerEngine {
  public:
@@ -118,10 +115,6 @@ class Anonymizer : public AnonymizerEngine {
   /// state do not sync the shared trie's counters into metrics — the
   /// pipeline does that once, centrally, to avoid double counting.
   Anonymizer(AnonymizerOptions options, std::shared_ptr<NetworkState> state);
-  /// Session-API form (see core/session.h): an engine over `session`'s
-  /// shared state with the context's engine options re-salted for the
-  /// session. Equivalent to what the context's kIos factory builds.
-  Anonymizer(const ServiceContext& context, const Session& session);
 
   /// Writes the anonymized groupings of the declared known entities, one
   /// entity per line: "entity <n>: asns <a1> <a2> ... prefixes <p1> ...".
@@ -201,10 +194,6 @@ class Anonymizer : public AnonymizerEngine {
 
   /// Replaces words[i] with its hash token from the shared hasher.
   void HashWord(LineCtx& ctx, std::size_t i);
-
-  /// Public ASNs accepted by a policy regexp (for the A12 audit record).
-  std::vector<std::uint32_t> AcceptedPublicAsns(
-      std::string_view pattern) const;
 
   std::string MapAsnWord(std::string_view word);
   void RecordAsn(std::uint32_t asn);

@@ -121,7 +121,7 @@ struct DefenseSummary {
 };
 
 /// The one options struct consumed by ServiceContext: engine
-/// configuration, thread budget, work batching, and dialect routing.
+/// configuration, thread budget, and dialect routing.
 struct ServiceOptions {
   /// Engine options (salt, regexp form, rule toggles, pass-list, known
   /// entities). `base.salt` is the context-wide base secret; sessions
@@ -131,8 +131,6 @@ struct ServiceOptions {
   /// Worker threads per corpus/request. 0 picks
   /// std::thread::hardware_concurrency(); 1 runs on the calling thread.
   int threads = 0;
-  /// Files per work-queue batch (amortizes the cursor fetch_add).
-  std::size_t batch_size = 4;
   /// Dialect routing; kAuto detects per file.
   ConfigDialect dialect = ConfigDialect::kAuto;
   /// Run the static policy verifier (src/verify) at context build time

@@ -4,7 +4,6 @@
 
 #include "config/tokenizer.h"
 #include "core/anonymizer.h"
-#include "core/session.h"
 #include "net/prefix.h"
 #include "net/special.h"
 #include "util/strings.h"
@@ -71,11 +70,6 @@ JunosAnonymizerOptions JunosOptionsFrom(const core::AnonymizerOptions& options) 
 
 JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options)
     : JunosAnonymizer(std::move(options), nullptr) {}
-
-JunosAnonymizer::JunosAnonymizer(const core::ServiceContext& context,
-                                 const core::Session& session)
-    : JunosAnonymizer(JunosOptionsFrom(context.EngineOptions(session)),
-                      session.state()) {}
 
 JunosAnonymizer::JunosAnonymizer(JunosAnonymizerOptions options,
                                  std::shared_ptr<core::NetworkState> state)
@@ -267,10 +261,8 @@ void JunosAnonymizer::ProcessLine(JunosLine& line) {
         const asn::RewriteResult result =
             state_->aspath_rewriter.Rewrite(pattern, options_.regex_form);
         RecordRewrite(result);
-        for (std::uint32_t a : asn::EnumerateLanguage(pattern)->accepted) {
-          if (asn::IsPublicAsn(a)) {
-            leak_record_.public_asns.insert(std::to_string(a));
-          }
+        for (std::uint32_t a : result.public_asns) {
+          leak_record_.public_asns.insert(std::to_string(a));
         }
         if (result.changed) {
           tokens[word_at[w + 2]].text = Quote(result.pattern, arena_);

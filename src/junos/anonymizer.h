@@ -44,8 +44,6 @@
 
 namespace confanon::core {
 struct AnonymizerOptions;
-class ServiceContext;
-class Session;
 }  // namespace confanon::core
 
 namespace confanon::junos {
@@ -85,12 +83,6 @@ class JunosAnonymizer : public core::AnonymizerEngine {
   /// dialect / pipeline-worker form; see core::Anonymizer's counterpart.
   JunosAnonymizer(JunosAnonymizerOptions options,
                   std::shared_ptr<core::NetworkState> state);
-  /// Session-API form (see core/session.h): an engine over `session`'s
-  /// shared state, taking JunosOptionsFrom the context's engine options
-  /// for the session. Equivalent to what the context's kJunos factory
-  /// (pipeline::MakeServiceContext) builds.
-  JunosAnonymizer(const core::ServiceContext& context,
-                  const core::Session& session);
 
   /// Collects every non-special IP address literal in `file` under JunOS
   /// tokenization (for the corpus-wide preload pass).

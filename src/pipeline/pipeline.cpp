@@ -139,7 +139,9 @@ std::vector<config::ConfigFile> CorpusPipeline::AnonymizeCorpus(
   // Phase 2: parallel per-file anonymization. The phase window spans the
   // whole pool (open while any worker runs); at threads <= 1 RunWorkers
   // executes inline, so the three phase windows tile the call exactly.
-  WorkQueue queue(files.size(), context_->options().batch_size);
+  // Files per work-queue batch (amortizes the cursor fetch_add).
+  constexpr std::size_t kFilesPerBatch = 4;
+  WorkQueue queue(files.size(), kFilesPerBatch);
   {
     obs::PhaseProfiler::ScopedPhase phase(hooks_.profiler, &tracer_,
                                           "anonymize");

@@ -1,6 +1,7 @@
 #include "regex/dfa.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <numeric>
 #include <set>
@@ -14,26 +15,22 @@ namespace {
 /// Returns the number of classes and fills `byte_class`.
 int ComputeByteClasses(const Nfa& nfa, std::array<std::int16_t, 256>& byte_class) {
   // Signature of a byte: the membership bit vector across all edge sets.
-  // We refine incrementally: start with one class, split by each set.
+  // We refine incrementally: start with one class, split by each set. A
+  // split class's new ids are handed out in byte order.
   std::vector<int> cls(256, 0);
   int num_classes = 1;
+  std::vector<int> remap;  // indexed 2 * class + in_set
   for (std::size_t s = 0; s < nfa.StateCount(); ++s) {
     for (const auto& [chars, target] : nfa.At(static_cast<StateId>(s)).edges) {
       (void)target;
-      // Split every existing class into (in set / not in set).
-      std::map<std::pair<int, bool>, int> remap;
-      std::vector<int> next(256);
+      remap.assign(2 * static_cast<std::size_t>(num_classes), -1);
       int next_classes = 0;
       for (int b = 0; b < 256; ++b) {
-        const std::pair<int, bool> key{cls[b],
-                                       chars.Contains(static_cast<char>(b))};
-        auto it = remap.find(key);
-        if (it == remap.end()) {
-          it = remap.emplace(key, next_classes++).first;
-        }
-        next[b] = it->second;
+        int& id = remap[2 * static_cast<std::size_t>(cls[b]) +
+                        (chars.Contains(static_cast<char>(b)) ? 1 : 0)];
+        if (id < 0) id = next_classes++;
+        cls[b] = id;
       }
-      cls.swap(next);
       num_classes = next_classes;
     }
   }
@@ -235,22 +232,37 @@ bool Dfa::EquivalentTo(const Dfa& other) const {
 }
 
 bool Dfa::IsEmptyLanguage() const {
-  std::vector<char> visited(static_cast<std::size_t>(num_states_), 0);
-  std::vector<int> stack{start_};
-  visited[static_cast<std::size_t>(start_)] = 1;
-  while (!stack.empty()) {
-    const int s = stack.back();
-    stack.pop_back();
-    if (IsAccepting(s)) return false;
-    for (int k = 0; k < num_classes_; ++k) {
-      const int t = TransitionByClass(s, k);
-      if (!visited[static_cast<std::size_t>(t)]) {
-        visited[static_cast<std::size_t>(t)] = 1;
-        stack.push_back(t);
+  return !AliveStates()[static_cast<std::size_t>(start_)];
+}
+
+std::vector<bool> Dfa::AliveStates() const {
+  std::vector<std::vector<std::int32_t>> reverse(
+      static_cast<std::size_t>(num_states_));
+  for (int state = 0; state < num_states_; ++state) {
+    for (int byte_class = 0; byte_class < num_classes_; ++byte_class) {
+      reverse[static_cast<std::size_t>(TransitionByClass(state, byte_class))]
+          .push_back(state);
+    }
+  }
+  std::vector<bool> alive(static_cast<std::size_t>(num_states_), false);
+  std::deque<std::int32_t> queue;
+  for (int state = 0; state < num_states_; ++state) {
+    if (IsAccepting(state)) {
+      alive[static_cast<std::size_t>(state)] = true;
+      queue.push_back(state);
+    }
+  }
+  while (!queue.empty()) {
+    const std::int32_t state = queue.front();
+    queue.pop_front();
+    for (const std::int32_t pred : reverse[static_cast<std::size_t>(state)]) {
+      if (!alive[static_cast<std::size_t>(pred)]) {
+        alive[static_cast<std::size_t>(pred)] = true;
+        queue.push_back(pred);
       }
     }
   }
-  return true;
+  return alive;
 }
 
 CharSet Dfa::ClassChars(int byte_class) const {

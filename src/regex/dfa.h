@@ -3,8 +3,10 @@
 //
 // The anonymizer uses DFAs for the paper's language computation (Section
 // 4.4: "we can find the language accepted by the regexp by simply applying
-// the regexp to a list of all 2^16 ASNs") — running the DFA over 65,536
-// short strings is orders of magnitude faster than NFA simulation.
+// the regexp to a list of all 2^16 ASNs"). Instead of running the DFA on
+// 65,536 strings, asn::TokenLanguage walks it digit by digit from the
+// start state and prunes every state that cannot reach acceptance
+// (AliveStates), so a pattern naming a few ASNs costs a few transitions.
 // Minimization and DFA->regex conversion implement the paper's mentioned
 // extension of emitting a compact regexp for the anonymized language.
 //
@@ -39,6 +41,12 @@ class Dfa {
 
   /// True if no accepting state is reachable (empty language).
   bool IsEmptyLanguage() const;
+
+  /// Per state, whether some accepting state is reachable from it, via
+  /// backward reachability over the transition graph. Walks over the DFA
+  /// prune transitions into non-alive states (the explicit dead state and
+  /// any trap region): no accepted string extends through them.
+  std::vector<bool> AliveStates() const;
 
   int StateCount() const { return num_states_; }
   int start() const { return start_; }

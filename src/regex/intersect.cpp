@@ -3,7 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "regex/nfa.h"
 #include "regex/parser.h"
@@ -60,67 +60,28 @@ std::string ReconstructWitness(const std::vector<ProductNode>& nodes,
   return {witness.rbegin(), witness.rend()};
 }
 
-/// States from which some accepting state is reachable, via backward
-/// reachability over the transition graph. Transitions into non-alive
-/// states (the explicit dead state and any trap region) can never extend
-/// to a witness, so the product walk prunes them.
-std::vector<bool> AliveStates(const Dfa& dfa) {
-  const int n = dfa.StateCount();
-  std::vector<std::vector<std::int32_t>> reverse(
-      static_cast<std::size_t>(n));
-  for (int state = 0; state < n; ++state) {
-    for (int byte_class = 0; byte_class < dfa.NumClasses(); ++byte_class) {
-      reverse[static_cast<std::size_t>(
-                  dfa.TransitionByClass(state, byte_class))]
-          .push_back(state);
-    }
-  }
-  std::vector<bool> alive(static_cast<std::size_t>(n), false);
-  std::deque<std::int32_t> queue;
-  for (int state = 0; state < n; ++state) {
-    if (dfa.IsAccepting(state)) {
-      alive[static_cast<std::size_t>(state)] = true;
-      queue.push_back(state);
-    }
-  }
-  while (!queue.empty()) {
-    const std::int32_t state = queue.front();
-    queue.pop_front();
-    for (const std::int32_t pred : reverse[static_cast<std::size_t>(state)]) {
-      if (!alive[static_cast<std::size_t>(pred)]) {
-        alive[static_cast<std::size_t>(pred)] = true;
-        queue.push_back(pred);
-      }
-    }
-  }
-  return alive;
-}
+}  // namespace
 
-/// Shared BFS: walks the product automaton shortest-first, calling
-/// `on_accept` for every accepting product node in discovery order until
-/// it returns false. `dedupe` controls whether a product state pair is
-/// expanded once (emptiness / shortest witness) or once per distinct
-/// path (enumeration of a finite language's strings).
-template <typename OnAccept>
-void ProductWalk(const Dfa& a, const Dfa& b, bool dedupe,
-                 std::size_t max_length, std::size_t max_nodes,
-                 OnAccept&& on_accept) {
+std::optional<std::string> ShortestIntersectionWitness(const Dfa& a,
+                                                       const Dfa& b) {
+  // Breadth-first over the product automaton, expanding each state pair
+  // once: the first accepting pair reached ends the shortest witness.
+  // Stop expanding past this many pairs so a runaway product terminates.
+  constexpr std::size_t kMaxNodes = std::size_t{1} << 22;
   const std::array<unsigned char, 256>& order = WitnessByteOrder();
-  const std::vector<bool> alive_a = AliveStates(a);
-  const std::vector<bool> alive_b = AliveStates(b);
+  const std::vector<bool> alive_a = a.AliveStates();
+  const std::vector<bool> alive_b = b.AliveStates();
   if (!alive_a[static_cast<std::size_t>(a.start())] ||
       !alive_b[static_cast<std::size_t>(b.start())]) {
-    return;  // one side's whole language is empty
+    return std::nullopt;  // one side's whole language is empty
   }
 
   std::vector<ProductNode> nodes;
-  std::vector<std::size_t> depth;
-  std::unordered_map<std::uint64_t, bool> visited;
+  std::unordered_set<std::uint64_t> visited;
   std::deque<std::int32_t> queue;
 
   nodes.push_back({a.start(), b.start(), -1, 0});
-  depth.push_back(0);
-  visited[PairKey(a.start(), b.start())] = true;
+  visited.insert(PairKey(a.start(), b.start()));
   queue.push_back(0);
 
   while (!queue.empty()) {
@@ -128,10 +89,9 @@ void ProductWalk(const Dfa& a, const Dfa& b, bool dedupe,
     queue.pop_front();
     const ProductNode node = nodes[static_cast<std::size_t>(index)];
     if (a.IsAccepting(node.a) && b.IsAccepting(node.b)) {
-      if (!on_accept(nodes, index)) return;
+      return ReconstructWitness(nodes, index);
     }
-    if (depth[static_cast<std::size_t>(index)] >= max_length) continue;
-    if (nodes.size() >= max_nodes) continue;  // cap runaway products
+    if (nodes.size() >= kMaxNodes) continue;
     for (const unsigned char byte : order) {
       const char c = static_cast<char>(byte);
       const std::int32_t na = a.Transition(node.a, c);
@@ -140,53 +100,12 @@ void ProductWalk(const Dfa& a, const Dfa& b, bool dedupe,
           !alive_b[static_cast<std::size_t>(nb)]) {
         continue;  // no witness can extend through a dead side
       }
-      if (dedupe) {
-        bool& seen = visited[PairKey(na, nb)];
-        if (seen) continue;
-        seen = true;
-      }
+      if (!visited.insert(PairKey(na, nb)).second) continue;
       nodes.push_back({na, nb, index, byte});
-      depth.push_back(depth[static_cast<std::size_t>(index)] + 1);
       queue.push_back(static_cast<std::int32_t>(nodes.size() - 1));
     }
   }
-}
-
-}  // namespace
-
-bool IntersectionEmpty(const Dfa& a, const Dfa& b) {
-  return !ShortestIntersectionWitness(a, b).has_value();
-}
-
-std::optional<std::string> ShortestIntersectionWitness(const Dfa& a,
-                                                       const Dfa& b) {
-  std::optional<std::string> witness;
-  // Depth bound: every product state pair is visited at most once, so any
-  // accepting pair is reached within |a| x |b| steps.
-  const std::size_t max_length = static_cast<std::size_t>(a.StateCount()) *
-                                 static_cast<std::size_t>(b.StateCount());
-  ProductWalk(a, b, /*dedupe=*/true, max_length,
-              /*max_nodes=*/1u << 22,
-              [&](const std::vector<ProductNode>& nodes, std::int32_t index) {
-                witness = ReconstructWitness(nodes, index);
-                return false;  // first accept in BFS order is shortest
-              });
-  return witness;
-}
-
-std::vector<std::string> EnumerateIntersection(const Dfa& a, const Dfa& b,
-                                               std::size_t max_results,
-                                               std::size_t max_length) {
-  std::vector<std::string> results;
-  if (max_results == 0) return results;
-  // No dedupe: distinct strings can share product states. The node cap
-  // bounds the walk on products with cyclic (infinite) intersections.
-  ProductWalk(a, b, /*dedupe=*/false, max_length, /*max_nodes=*/1u << 20,
-              [&](const std::vector<ProductNode>& nodes, std::int32_t index) {
-                results.push_back(ReconstructWitness(nodes, index));
-                return results.size() < max_results;
-              });
-  return results;
+  return std::nullopt;
 }
 
 Dfa LiteralSetDfa(const std::vector<std::string>& literals) {

@@ -22,23 +22,11 @@
 
 namespace confanon::regex {
 
-/// True iff L(a) ∩ L(b) is empty (no accepting product state reachable).
-bool IntersectionEmpty(const Dfa& a, const Dfa& b);
-
 /// A shortest string in L(a) ∩ L(b), or nullopt when the intersection is
 /// empty. Ties at the shortest length resolve to the first string in the
 /// witness byte order (digits, lowercase, punctuation, rest).
 std::optional<std::string> ShortestIntersectionWitness(const Dfa& a,
                                                        const Dfa& b);
-
-/// Up to `max_results` strings of L(a) ∩ L(b) in BFS (shortest-first)
-/// order, each no longer than `max_length` bytes. Intended for finite
-/// (or finite-after-truncation) intersections such as pass-list
-/// languages; expansion is capped internally so pathological products
-/// terminate with a partial enumeration rather than diverging.
-std::vector<std::string> EnumerateIntersection(const Dfa& a, const Dfa& b,
-                                               std::size_t max_results,
-                                               std::size_t max_length = 256);
 
 /// Builds a minimal DFA accepting exactly the given literal strings
 /// (byte-for-byte; no metacharacters). The empty set yields a DFA with

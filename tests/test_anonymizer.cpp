@@ -554,6 +554,24 @@ TEST(Anonymizer, EnginesOverOneStateKeepTheirOwnAddressRecords) {
             "logging " + image + "\n");
 }
 
+TEST(Anonymizer, AsnAuditRecordsMemoServedRewrites) {
+  // Two files of one network repeat an as-path regexp. The second rewrite
+  // is served from the rewriter's memo and must still record the pattern's
+  // public ASNs under rule A12.
+  ServiceOptions options;
+  options.base.salt = "test-salt";
+  const ServiceContext context(std::move(options));
+  const auto session = context.CreateSession();
+  const auto engine = context.MakeEngine(ConfigDialect::kIos, *session);
+  const std::string line = "ip as-path access-list 1 permit (_701_|_1239_)\n";
+  engine->AnonymizeNetwork({config::ConfigFile::FromText("r1", line),
+                            config::ConfigFile::FromText("r2", line)});
+  EXPECT_EQ(engine->report().Fires(Rule::kAsnAudit), 4u);
+  EXPECT_GE(session->state()->aspath_rewriter.memo().hits(), 1u);
+  EXPECT_EQ(engine->leak_record().public_asns,
+            (std::set<std::string>{"1239", "701"}));
+}
+
 // --- leak detector specifics ---
 
 TEST(LeakDetector, WordBoundaryMatching) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/anonymizer.h"
+#include "core/network_state.h"
 #include "gen/config_writer.h"
 #include "gen/network_gen.h"
 #include "junos/anonymizer.h"
@@ -196,6 +197,26 @@ TEST(JunosAnonymizer, CidrAddressMappedLengthKept) {
       Anonymize("address 12.34.56.1/30;\n");
   EXPECT_EQ(out.find("12.34.56.1"), std::string::npos);
   EXPECT_NE(out.find("/30;"), std::string::npos);
+}
+
+TEST(JunosAnonymizer, LeakRecordListsAsnsOfMemoServedRewrites) {
+  // An IOS engine rewrites an as-path regexp first. The JunOS engine over
+  // the same NetworkState is served that rewrite from the shared memo and
+  // must still list the pattern's public ASNs in its own record.
+  const auto state = std::make_shared<core::NetworkState>("test-salt");
+  core::AnonymizerOptions ios_options;
+  ios_options.salt = "test-salt";
+  core::Anonymizer ios(std::move(ios_options), state);
+  ios.AnonymizeFile(config::ConfigFile::FromText(
+      "r1", "ip as-path access-list 1 permit (_701_|_1239_)\n"));
+  JunosAnonymizerOptions options;
+  options.salt = "test-salt";
+  JunosAnonymizer junos(std::move(options), state);
+  junos.AnonymizeFile(
+      config::ConfigFile::FromText("r2", "as-path a \"(_701_|_1239_)\";\n"));
+  EXPECT_GE(state->aspath_rewriter.memo().hits(), 1u);
+  EXPECT_EQ(junos.leak_record().public_asns,
+            (std::set<std::string>{"1239", "701"}));
 }
 
 TEST(JunosAnonymizer, LeakRecordListsEachAddressOnce) {

@@ -3,12 +3,152 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <regex>
+#include <set>
+#include <utility>
+
+#include "util/rng.h"
 
 namespace confanon::asn {
 namespace {
 
 std::vector<std::uint32_t> Language(std::string_view pattern) {
   return TokenLanguage::Compile(pattern).Enumerate();
+}
+
+/// Brute-force oracle: the paper's scan of every 16-bit value.
+std::vector<std::uint32_t> ScanLanguage(const TokenLanguage& language) {
+  std::vector<std::uint32_t> accepted;
+  for (std::uint32_t value = 0; value <= 65535; ++value) {
+    if (language.Accepts(value)) accepted.push_back(value);
+  }
+  return accepted;
+}
+
+/// Checks that Enumerate() returns exactly the scan's language, or that
+/// both sides reject the pattern. Returns the scanned language (nullopt
+/// on a parse error).
+std::optional<std::vector<std::uint32_t>> ExpectEnumerateMatchesScan(
+    const std::string& pattern) {
+  std::optional<std::vector<std::uint32_t>> enumerated;
+  std::optional<std::vector<std::uint32_t>> scanned;
+  try {
+    enumerated = TokenLanguage::Compile(pattern).Enumerate();
+  } catch (const regex::ParseError&) {
+  }
+  try {
+    scanned = ScanLanguage(TokenLanguage::Compile(pattern));
+  } catch (const regex::ParseError&) {
+  }
+  EXPECT_EQ(enumerated.has_value(), scanned.has_value()) << pattern;
+  EXPECT_EQ(enumerated, scanned) << pattern;
+  return scanned;
+}
+
+/// Adds `pattern` and, when it has a top-level colon, the two halves the
+/// community rewriter enumerates.
+void AddWithHalves(const std::string& pattern, std::set<std::string>& out) {
+  out.insert(pattern);
+  const std::size_t colon = FindTopLevelColon(pattern);
+  if (colon != std::string::npos) {
+    out.insert(pattern.substr(0, colon));
+    out.insert(pattern.substr(colon + 1));
+  }
+}
+
+/// Every as-path and community regexp in the committed test configs: IOS
+/// `ip as-path access-list` and expanded `ip community-list` lines, JunOS
+/// quoted `as-path NAME "..."` and `members "..."`.
+std::set<std::string> DataPatterns() {
+  static const std::regex kIosAsPath(
+      R"(^\s*ip as-path access-list \S+ (?:permit|deny) (.*\S))");
+  static const std::regex kIosExpandedCommunity(
+      R"(^\s*ip community-list (?:expanded \S+|\d+) (?:permit|deny) (.*\S))");
+  static const std::regex kJunosQuoted(R"((?:as-path \S+|members) "([^"]*)\")");
+  std::set<std::string> patterns;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           CONFANON_TEST_DATA_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path());
+    std::string line;
+    while (std::getline(in, line)) {
+      std::smatch match;
+      if (std::regex_search(line, match, kIosAsPath) ||
+          std::regex_search(line, match, kIosExpandedCommunity) ||
+          std::regex_search(line, match, kJunosQuoted)) {
+        AddWithHalves(match[1].str(), patterns);
+      }
+    }
+  }
+  return patterns;
+}
+
+/// A random pattern over the syntax policy regexps use: digits, '.',
+/// ranges, the four quantifiers, alternation, groups and the three
+/// boundary atoms. A few ranges and repeat bounds are left out of order,
+/// so some patterns must fail to parse.
+std::string RandomPattern(util::Rng& rng, int depth) {
+  // Two ascending values below `bound`, swapped back out of order in one
+  // draw of ten.
+  const auto ordered_pair = [&](std::uint64_t bound) {
+    std::uint64_t lo = rng.Below(bound);
+    std::uint64_t hi = rng.Below(bound);
+    if ((lo > hi) != rng.Chance(0.1)) std::swap(lo, hi);
+    return std::pair{std::to_string(lo), std::to_string(hi)};
+  };
+  std::string out;
+  const int branches = rng.Chance(0.3) ? 2 : 1;
+  for (int branch = 0; branch < branches; ++branch) {
+    if (branch > 0) out += '|';
+    const auto atoms = rng.Between(1, 5);
+    for (std::int64_t atom = 0; atom < atoms; ++atom) {
+      switch (rng.Below(depth > 0 ? 9 : 8)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+          out += static_cast<char>('0' + rng.Below(10));
+          break;
+        case 4:
+          out += '.';
+          break;
+        case 5:
+        case 6: {
+          const auto [lo, hi] = ordered_pair(10);
+          out += '[' + lo + '-' + hi + ']';
+          break;
+        }
+        case 7:
+          out += "_^$"[rng.Below(3)];
+          break;
+        default:
+          out += '(' + RandomPattern(rng, depth - 1) + ')';
+          break;
+      }
+      switch (rng.Below(10)) {
+        case 0:
+          out += '*';
+          break;
+        case 1:
+          out += '+';
+          break;
+        case 2:
+          out += '?';
+          break;
+        case 3: {
+          const auto [lo, hi] = ordered_pair(4);
+          out += '{' + lo + ',' + hi + '}';
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
+  return out;
 }
 
 TEST(TokenLanguage, PaperExampleRange) {
@@ -67,6 +207,52 @@ TEST(TokenLanguage, AcceptsAgreesWithEnumerate) {
   EXPECT_FALSE(language.Accepts(13000));
 }
 
+TEST(TokenLanguage, EnumerateMatchesScanOnCorpusPatterns) {
+  std::set<std::string> patterns = DataPatterns();
+  // The committed goldens hold at least these as-path regexps.
+  for (const char* expected : {"_701_", "(_1239_|_70[2-5]_)", "26741"}) {
+    EXPECT_TRUE(patterns.contains(expected)) << expected;
+  }
+  // Every pattern this file feeds the compiler or the rewriters.
+  for (const char* pattern :
+       {"70[1-3]", "701", "^701$", "_701_", "^701", "701$", "70[0-9]",
+        "70.", "(_1239_|_70[2-5]_)", "(1|701)", ".*", "^.*$",
+        "_6451[2-5]_", "1234567", "70000", "12[0-9]{2}", "99999",
+        "_70[1-5]_", "^1$", "12[0-9].", "6451[0-3]", "701:7[1-5]..",
+        "7[0-9]+", "65000:100"}) {
+    AddWithHalves(pattern, patterns);
+  }
+  for (const std::string& pattern : patterns) {
+    ExpectEnumerateMatchesScan(pattern);
+  }
+}
+
+TEST(TokenLanguage, EnumerateMatchesScanOnEdgeCases) {
+  for (const char* pattern :
+       {"0", "^0$", "00", "^0*1$", "65535", "6553[5-9]", "65536", ".*", "^$",
+        "_", "[0-9]*", "1234567"}) {
+    ExpectEnumerateMatchesScan(pattern);
+  }
+}
+
+TEST(TokenLanguage, EnumerateMatchesScanOnRandomPatterns) {
+  util::Rng rng(20041025);
+  std::size_t parse_errors = 0;
+  std::size_t proper_subsets = 0;  // neither empty nor the whole space
+  for (int i = 0; i < 320; ++i) {
+    const auto scanned = ExpectEnumerateMatchesScan(RandomPattern(rng, 2));
+    if (!scanned) {
+      ++parse_errors;
+    } else if (!scanned->empty() && scanned->size() < 65536) {
+      ++proper_subsets;
+    }
+  }
+  // The generator exercises both the error path and non-trivial
+  // languages, not only empty or full ones.
+  EXPECT_GT(parse_errors, 0u);
+  EXPECT_GT(proper_subsets, 150u);
+}
+
 TEST(RenderLanguage, SingleValueBare) {
   EXPECT_EQ(RenderLanguage({701}, RewriteForm::kAlternation), "701");
   EXPECT_EQ(RenderLanguage({701}, RewriteForm::kMinimizedDfa), "701");
@@ -107,7 +293,7 @@ TEST_F(RewriterTest, PrivateOnlyLanguageUnchanged) {
   EXPECT_FALSE(result.changed);
   EXPECT_EQ(result.pattern, "_6451[2-5]_");
   EXPECT_EQ(result.language_size, 4u);
-  EXPECT_EQ(result.public_members, 0u);
+  EXPECT_TRUE(result.public_asns.empty());
 }
 
 TEST_F(RewriterTest, FullSpaceUnchanged) {
@@ -125,7 +311,8 @@ TEST_F(RewriterTest, EmptyLanguageUnchanged) {
 TEST_F(RewriterTest, PublicRangeRewritten) {
   const RewriteResult result = rewriter_.Rewrite("70[1-3]");
   EXPECT_TRUE(result.changed);
-  EXPECT_EQ(result.public_members, 3u);
+  EXPECT_EQ(result.public_asns,
+            (std::vector<std::uint32_t>{701, 702, 703}));
   // The rewritten pattern's language must be exactly the permuted set.
   std::vector<std::uint32_t> expected = {
       asn_map_.Map(701), asn_map_.Map(702), asn_map_.Map(703)};
@@ -158,7 +345,8 @@ TEST_F(RewriterTest, MixedPublicPrivateRewritesBoth) {
   // 6451[0-3]: 64510, 64511 public; 64512, 64513 private (identity).
   const RewriteResult result = rewriter_.Rewrite("6451[0-3]");
   ASSERT_TRUE(result.changed);
-  EXPECT_EQ(result.public_members, 2u);
+  EXPECT_EQ(result.public_asns,
+            (std::vector<std::uint32_t>{64510, 64511}));
   const auto language = Language(result.pattern);
   EXPECT_EQ(language.size(), 4u);
   EXPECT_TRUE(std::find(language.begin(), language.end(), 64512u) !=
