@@ -2,134 +2,248 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <numeric>
 #include <set>
+#include <span>
+#include <unordered_map>
 
 namespace confanon::regex {
 
 namespace {
 
 /// Computes byte-equivalence classes: two bytes are equivalent if every
-/// CharSet appearing on any NFA edge either contains both or neither.
+/// set in `edge_sets` either contains both or neither. Refines once per
+/// set; each pass hands out class ids in byte order, so the classes come
+/// out numbered by their lowest byte whatever order the sets arrive in.
 /// Returns the number of classes and fills `byte_class`.
-int ComputeByteClasses(const Nfa& nfa, std::array<std::int16_t, 256>& byte_class) {
-  // Signature of a byte: the membership bit vector across all edge sets.
-  // We refine incrementally: start with one class, split by each set. A
-  // split class's new ids are handed out in byte order.
-  std::vector<int> cls(256, 0);
-  int num_classes = 1;
+int ComputeByteClasses(const std::vector<const CharSet*>& edge_sets,
+                       std::array<std::int16_t, 256>& byte_class) {
+  std::array<std::size_t, 256> cls{};
+  std::size_t num_classes = 1;
   std::vector<int> remap;  // indexed 2 * class + in_set
-  for (std::size_t s = 0; s < nfa.StateCount(); ++s) {
-    for (const auto& [chars, target] : nfa.At(static_cast<StateId>(s)).edges) {
-      (void)target;
-      remap.assign(2 * static_cast<std::size_t>(num_classes), -1);
-      int next_classes = 0;
-      for (int b = 0; b < 256; ++b) {
-        int& id = remap[2 * static_cast<std::size_t>(cls[b]) +
-                        (chars.Contains(static_cast<char>(b)) ? 1 : 0)];
-        if (id < 0) id = next_classes++;
-        cls[b] = id;
-      }
-      num_classes = next_classes;
+  for (const CharSet* chars : edge_sets) {
+    remap.assign(2 * num_classes, -1);
+    int next_classes = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      int& id = remap[2 * cls[b] + (chars->Contains(static_cast<char>(b)))];
+      if (id < 0) id = next_classes++;
+      cls[b] = static_cast<std::size_t>(id);
     }
+    num_classes = static_cast<std::size_t>(next_classes);
   }
-  for (int b = 0; b < 256; ++b) {
-    byte_class[static_cast<std::size_t>(b)] =
-        static_cast<std::int16_t>(cls[static_cast<std::size_t>(b)]);
+  for (std::size_t b = 0; b < 256; ++b) {
+    byte_class[b] = static_cast<std::int16_t>(cls[b]);
   }
-  return num_classes;
+  return static_cast<int>(num_classes);
 }
 
-void Closure(const Nfa& nfa, std::vector<StateId>& set,
-             std::vector<char>& member) {
-  std::vector<StateId> stack(set);
-  while (!stack.empty()) {
-    const StateId s = stack.back();
-    stack.pop_back();
-    for (StateId t : nfa.At(s).epsilon) {
-      if (!member[static_cast<std::size_t>(t)]) {
-        member[static_cast<std::size_t>(t)] = 1;
-        set.push_back(t);
-        stack.push_back(t);
+struct CharSetHash {
+  std::size_t operator()(const CharSet& chars) const { return chars.Hash(); }
+};
+
+/// One consuming NFA step on one byte class.
+struct ClassStep {
+  StateId target;
+  std::int32_t byte_class;
+};
+
+/// Interns sorted NFA-state subsets as DFA state ids, numbered in
+/// insertion order: the members live in one flat pool, and an
+/// open-addressing table maps a subset's content to its id.
+class SubsetIds {
+ public:
+  /// The id of `subset`; a new subset gets the next id and sets `added`.
+  int Intern(const std::vector<StateId>& subset, bool& added) {
+    const std::uint64_t hash = HashOf(subset);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(hash) & mask;
+    for (; slots_[slot] >= 0; slot = (slot + 1) & mask) {
+      const int id = slots_[slot];
+      if (hash_[static_cast<std::size_t>(id)] == hash &&
+          std::ranges::equal(Members(id), subset)) {
+        added = false;
+        return id;
       }
     }
+    const int id = size();
+    slots_[slot] = id;
+    hash_.push_back(hash);
+    pool_.insert(pool_.end(), subset.begin(), subset.end());
+    begin_.push_back(pool_.size());
+    if (2 * hash_.size() > slots_.size()) Grow();
+    added = true;
+    return id;
   }
-  std::sort(set.begin(), set.end());
-}
+
+  /// Valid until the next Intern.
+  std::span<const StateId> Members(int id) const {
+    const std::size_t from = begin_[static_cast<std::size_t>(id)];
+    const std::size_t past = begin_[static_cast<std::size_t>(id) + 1];
+    return {pool_.data() + from, past - from};
+  }
+
+  int size() const { return static_cast<int>(hash_.size()); }
+
+ private:
+  static std::uint64_t HashOf(const std::vector<StateId>& subset) {
+    std::uint64_t hash = subset.size();
+    for (const StateId member : subset) {
+      hash = (hash ^ static_cast<std::uint32_t>(member)) *
+             0x9E3779B97F4A7C15ULL;
+      hash ^= hash >> 29;
+    }
+    return hash;
+  }
+
+  void Grow() {
+    slots_.assign(2 * slots_.size(), -1);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t id = 0; id < hash_.size(); ++id) {
+      std::size_t slot = static_cast<std::size_t>(hash_[id]) & mask;
+      while (slots_[slot] >= 0) slot = (slot + 1) & mask;
+      slots_[slot] = static_cast<std::int32_t>(id);
+    }
+  }
+
+  std::vector<StateId> pool_;
+  std::vector<std::size_t> begin_{0};
+  std::vector<std::uint64_t> hash_;
+  std::vector<std::int32_t> slots_ = std::vector<std::int32_t>(64, -1);
+};
 
 }  // namespace
 
 Dfa Dfa::FromNfa(const Nfa& nfa) {
   Dfa dfa;
-  dfa.num_classes_ = ComputeByteClasses(nfa, dfa.byte_class_);
+  const std::size_t nfa_states = nfa.StateCount();
 
-  // Pick one representative byte per class for transition evaluation.
-  std::vector<char> representative(static_cast<std::size_t>(dfa.num_classes_));
-  for (int b = 255; b >= 0; --b) {
-    representative[static_cast<std::size_t>(dfa.byte_class_[static_cast<std::size_t>(b)])] =
+  // The distinct edge sets, and per edge (states in id order, edges in
+  // order) the index of its set among them.
+  std::unordered_map<CharSet, int, CharSetHash> set_index;
+  std::vector<const CharSet*> edge_sets;
+  std::vector<int> edge_set;
+  for (std::size_t s = 0; s < nfa_states; ++s) {
+    for (const auto& edge : nfa.At(static_cast<StateId>(s)).edges) {
+      const auto [it, inserted] = set_index.try_emplace(
+          edge.first, static_cast<int>(edge_sets.size()));
+      if (inserted) edge_sets.push_back(&edge.first);
+      edge_set.push_back(it->second);
+    }
+  }
+  dfa.num_classes_ = ComputeByteClasses(edge_sets, dfa.byte_class_);
+  const int num_classes = dfa.num_classes_;
+
+  // The classes each distinct set holds, tested on each class's lowest
+  // byte (every byte of a class behaves alike).
+  std::vector<char> lowest(static_cast<std::size_t>(num_classes));
+  for (std::size_t b = 256; b-- > 0;) {
+    lowest[static_cast<std::size_t>(dfa.byte_class_[b])] =
         static_cast<char>(b);
   }
+  std::vector<std::vector<std::int32_t>> set_classes(edge_sets.size());
+  for (std::size_t i = 0; i < edge_sets.size(); ++i) {
+    for (int k = 0; k < num_classes; ++k) {
+      if (edge_sets[i]->Contains(lowest[static_cast<std::size_t>(k)])) {
+        set_classes[i].push_back(k);
+      }
+    }
+  }
 
-  std::map<std::vector<StateId>, int> ids;
-  std::vector<std::vector<StateId>> sets;
+  // Flat (target, class) step table, one row per NFA state.
+  std::vector<std::size_t> step_begin{0};
+  std::vector<ClassStep> steps;
+  std::size_t edge = 0;
+  for (std::size_t s = 0; s < nfa_states; ++s) {
+    for (const auto& [chars, target] : nfa.At(static_cast<StateId>(s)).edges) {
+      for (const std::int32_t k :
+           set_classes[static_cast<std::size_t>(edge_set[edge++])]) {
+        steps.push_back({target, k});
+      }
+    }
+    step_begin.push_back(steps.size());
+  }
 
-  std::vector<char> member(nfa.StateCount(), 0);
-  std::vector<StateId> start_set{nfa.start()};
-  member[static_cast<std::size_t>(nfa.start())] = 1;
-  Closure(nfa, start_set, member);
+  // Membership of the subset being built is `stamp[state] == generation`,
+  // so starting a new subset costs one increment, not a clear.
+  std::vector<std::uint32_t> stamp(nfa_states, 0);
+  std::uint32_t generation = 0;
+  const auto new_generation = [&] {
+    if (++generation == 0) {
+      std::fill(stamp.begin(), stamp.end(), 0);
+      generation = 1;
+    }
+  };
+  const auto add_member = [&](StateId state, std::vector<StateId>& subset) {
+    if (stamp[static_cast<std::size_t>(state)] == generation) return;
+    stamp[static_cast<std::size_t>(state)] = generation;
+    subset.push_back(state);
+  };
+  // Epsilon closure of the current generation's subset, then sorted.
+  const auto close = [&](std::vector<StateId>& subset) {
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      for (const StateId t : nfa.At(subset[i]).epsilon) add_member(t, subset);
+    }
+    std::sort(subset.begin(), subset.end());
+  };
 
-  ids.emplace(start_set, 0);
-  sets.push_back(start_set);
-  dfa.start_ = 0;
+  SubsetIds ids;
+  std::vector<bool> accepting;
+  const auto intern = [&](const std::vector<StateId>& subset, bool& added) {
+    const int id = ids.Intern(subset, added);
+    if (added) {
+      accepting.push_back(stamp[static_cast<std::size_t>(nfa.accept())] ==
+                          generation);
+      dfa.transitions_.resize(static_cast<std::size_t>(ids.size()) *
+                                  static_cast<std::size_t>(num_classes),
+                              -1);
+    }
+    return id;
+  };
 
-  // The dead state is materialized lazily as the empty set.
-  std::vector<int> worklist{0};
+  std::vector<StateId> subset;
+  new_generation();
+  add_member(nfa.start(), subset);
+  close(subset);
+  bool added = false;
+  dfa.start_ = intern(subset, added);
+
+  // LIFO worklist, classes in id order: state ids come out in discovery
+  // order. The dead state is the empty subset, interned on first use.
+  std::vector<std::vector<StateId>> successors(
+      static_cast<std::size_t>(num_classes));
+  std::vector<int> worklist{dfa.start_};
+  int dead = -1;
   while (!worklist.empty()) {
     const int id = worklist.back();
     worklist.pop_back();
-    const std::vector<StateId> current = sets[static_cast<std::size_t>(id)];
-    if (static_cast<std::size_t>(id + 1) * static_cast<std::size_t>(dfa.num_classes_) >
-        dfa.transitions_.size()) {
-      dfa.transitions_.resize(
-          (static_cast<std::size_t>(id) + 1) *
-              static_cast<std::size_t>(dfa.num_classes_),
-          -1);
-    }
-    for (int k = 0; k < dfa.num_classes_; ++k) {
-      const char c = representative[static_cast<std::size_t>(k)];
-      std::fill(member.begin(), member.end(), 0);
-      std::vector<StateId> next;
-      for (StateId s : current) {
-        for (const auto& [chars, target] : nfa.At(s).edges) {
-          if (chars.Contains(c) && !member[static_cast<std::size_t>(target)]) {
-            member[static_cast<std::size_t>(target)] = 1;
-            next.push_back(target);
-          }
-        }
+    for (auto& bucket : successors) bucket.clear();
+    for (const StateId s : ids.Members(id)) {
+      for (std::size_t i = step_begin[static_cast<std::size_t>(s)];
+           i < step_begin[static_cast<std::size_t>(s) + 1]; ++i) {
+        successors[static_cast<std::size_t>(steps[i].byte_class)].push_back(
+            steps[i].target);
       }
-      Closure(nfa, next, member);
-      auto [it, inserted] = ids.emplace(next, static_cast<int>(sets.size()));
-      if (inserted) {
-        sets.push_back(next);
-        worklist.push_back(it->second);
+    }
+    for (int k = 0; k < num_classes; ++k) {
+      const auto& bucket = successors[static_cast<std::size_t>(k)];
+      int target = dead;
+      if (!bucket.empty() || dead < 0) {
+        new_generation();
+        subset.clear();
+        for (const StateId t : bucket) add_member(t, subset);
+        close(subset);
+        target = intern(subset, added);
+        if (added) worklist.push_back(target);
+        if (subset.empty()) dead = target;
       }
       dfa.transitions_[static_cast<std::size_t>(id) *
-                           static_cast<std::size_t>(dfa.num_classes_) +
-                       static_cast<std::size_t>(k)] = it->second;
+                           static_cast<std::size_t>(num_classes) +
+                       static_cast<std::size_t>(k)] = target;
     }
   }
 
-  dfa.num_states_ = static_cast<int>(sets.size());
-  dfa.transitions_.resize(static_cast<std::size_t>(dfa.num_states_) *
-                              static_cast<std::size_t>(dfa.num_classes_),
-                          -1);
-  dfa.accepting_.assign(static_cast<std::size_t>(dfa.num_states_), false);
-  for (int id = 0; id < dfa.num_states_; ++id) {
-    const auto& set = sets[static_cast<std::size_t>(id)];
-    dfa.accepting_[static_cast<std::size_t>(id)] =
-        std::binary_search(set.begin(), set.end(), nfa.accept());
-  }
+  dfa.num_states_ = ids.size();
+  dfa.accepting_ = std::move(accepting);
   return dfa;
 }
 
@@ -142,63 +256,142 @@ bool Dfa::FullMatch(std::string_view subject) const {
 }
 
 Dfa Dfa::Minimize() const {
-  // Moore's algorithm: refine the accepting/non-accepting partition until
-  // no class splits. O(n^2 * classes) worst case, ample for policy regexes.
-  std::vector<int> block(static_cast<std::size_t>(num_states_));
-  for (int s = 0; s < num_states_; ++s) {
-    block[static_cast<std::size_t>(s)] =
-        accepting_[static_cast<std::size_t>(s)] ? 1 : 0;
+  // Hopcroft's refinement. A splitter block B splits every block, per
+  // class k, into the states whose k-successor lies in B and the rest;
+  // the smaller part of each split becomes a splitter. Each state then
+  // lies in O(log n) splitters, so the work is O(n k log n).
+  using Index = std::uint32_t;
+  const std::size_t n = static_cast<std::size_t>(num_states_);
+  const std::size_t classes = static_cast<std::size_t>(num_classes_);
+  const auto successor = [&](std::size_t state, std::size_t k) {
+    return static_cast<std::size_t>(transitions_[state * classes + k]);
+  };
+
+  // Predecessors per (class, target): pred[offset[k * n + t] ..
+  // offset[k * n + t + 1]) lists every state whose k-successor is t.
+  std::vector<Index> offset(n * classes + 1, 0);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = 0; k < classes; ++k) {
+      ++offset[k * n + successor(s, k) + 1];
+    }
   }
-  int num_blocks = 2;
-  // Degenerate case: all states agree on acceptance.
-  if (std::all_of(accepting_.begin(), accepting_.end(),
-                  [](bool a) { return a; }) ||
-      std::none_of(accepting_.begin(), accepting_.end(),
-                   [](bool a) { return a; })) {
-    std::fill(block.begin(), block.end(), 0);
-    num_blocks = 1;
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<Index> pred(n * classes);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = 0; k < classes; ++k) {
+      pred[offset[k * n + successor(s, k)]++] = static_cast<Index>(s);
+    }
+  }
+  // Filling moved each offset to the start of the next list; shift back.
+  std::copy_backward(offset.begin(), offset.end() - 1, offset.end());
+  offset[0] = 0;
+
+  // The partition: each block is a range [first, past) of `elems`, and
+  // `where` is a state's position there. Marking a state moves it into
+  // the marked prefix of its block's range.
+  std::vector<Index> elems;
+  elems.reserve(n);
+  for (const bool accepting : {false, true}) {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (accepting_[s] == accepting) elems.push_back(static_cast<Index>(s));
+    }
+  }
+  std::vector<Index> where(n);
+  std::vector<Index> block_of(n);
+  std::vector<Index> first;
+  std::vector<Index> past;
+  std::vector<Index> marked;
+  const auto add_block = [&](Index from, Index to) {
+    const auto block = static_cast<Index>(first.size());
+    first.push_back(from);
+    past.push_back(to);
+    marked.push_back(0);
+    for (Index i = from; i < to; ++i) {
+      block_of[elems[i]] = block;
+      where[elems[i]] = i;
+    }
+    return block;
+  };
+  const auto rejecting = static_cast<Index>(
+      std::count(accepting_.begin(), accepting_.end(), false));
+  const auto all = static_cast<Index>(n);
+  std::vector<Index> splitters;
+  if (rejecting == 0 || rejecting == all) {
+    add_block(0, all);
+  } else {
+    add_block(0, rejecting);
+    add_block(rejecting, all);
+    splitters.push_back(rejecting <= all - rejecting ? 0 : 1);
   }
 
-  for (;;) {
-    // Signature of a state: (its block, blocks of all class-transitions).
-    std::map<std::vector<int>, int> remap;
-    std::vector<int> next(static_cast<std::size_t>(num_states_));
-    for (int s = 0; s < num_states_; ++s) {
-      std::vector<int> signature;
-      signature.reserve(static_cast<std::size_t>(num_classes_) + 1);
-      signature.push_back(block[static_cast<std::size_t>(s)]);
-      for (int k = 0; k < num_classes_; ++k) {
-        signature.push_back(
-            block[static_cast<std::size_t>(TransitionByClass(s, k))]);
+  std::vector<Index> preimage;
+  std::vector<Index> touched;
+  while (!splitters.empty()) {
+    const Index splitter = splitters.back();
+    splitters.pop_back();
+    // Splits only permute states within a block's range, so this range
+    // holds the splitter's states for every class, even after it splits.
+    const Index lo = first[splitter];
+    const Index hi = past[splitter];
+    for (std::size_t k = 0; k < classes; ++k) {
+      preimage.clear();
+      for (Index i = lo; i < hi; ++i) {
+        const std::size_t key = k * n + elems[i];
+        preimage.insert(preimage.end(), pred.begin() + offset[key],
+                        pred.begin() + offset[key + 1]);
       }
-      auto [it, inserted] =
-          remap.emplace(std::move(signature), static_cast<int>(remap.size()));
-      next[static_cast<std::size_t>(s)] = it->second;
+      // A state has one k-successor, so none appears here twice.
+      for (const Index s : preimage) {
+        const Index block = block_of[s];
+        if (marked[block] == 0) touched.push_back(block);
+        const Index to = first[block] + marked[block]++;
+        const Index displaced = elems[to];
+        elems[where[s]] = displaced;
+        where[displaced] = where[s];
+        elems[to] = s;
+        where[s] = to;
+      }
+      for (const Index block : touched) {
+        const Index split = first[block] + marked[block];
+        marked[block] = 0;
+        if (split == past[block]) continue;  // all marked: no split
+        // The smaller part becomes a new block and a splitter; the larger
+        // keeps the id, and with it any pending splitter entry.
+        if (split - first[block] <= past[block] - split) {
+          splitters.push_back(add_block(first[block], split));
+          first[block] = split;
+        } else {
+          splitters.push_back(add_block(split, past[block]));
+          past[block] = split;
+        }
+      }
+      touched.clear();
     }
-    const int next_blocks = static_cast<int>(remap.size());
-    block.swap(next);
-    if (next_blocks == num_blocks) break;
-    num_blocks = next_blocks;
+  }
+
+  // Number the blocks in the order of their lowest state, the numbering
+  // Moore's last round gives, and read each block's row off that state.
+  std::vector<std::int32_t> number(first.size(), -1);
+  std::vector<std::size_t> lowest;
+  for (std::size_t s = 0; s < n; ++s) {
+    std::int32_t& id = number[block_of[s]];
+    if (id < 0) {
+      id = static_cast<std::int32_t>(lowest.size());
+      lowest.push_back(s);
+    }
   }
 
   Dfa result;
-  result.num_states_ = num_blocks;
+  result.num_states_ = static_cast<int>(lowest.size());
   result.num_classes_ = num_classes_;
   result.byte_class_ = byte_class_;
-  result.start_ = block[static_cast<std::size_t>(start_)];
-  result.transitions_.assign(static_cast<std::size_t>(num_blocks) *
-                                 static_cast<std::size_t>(num_classes_),
-                             -1);
-  result.accepting_.assign(static_cast<std::size_t>(num_blocks), false);
-  for (int s = 0; s < num_states_; ++s) {
-    const int b = block[static_cast<std::size_t>(s)];
-    result.accepting_[static_cast<std::size_t>(b)] =
-        accepting_[static_cast<std::size_t>(s)];
-    for (int k = 0; k < num_classes_; ++k) {
-      result.transitions_[static_cast<std::size_t>(b) *
-                              static_cast<std::size_t>(num_classes_) +
-                          static_cast<std::size_t>(k)] =
-          block[static_cast<std::size_t>(TransitionByClass(s, k))];
+  result.start_ = number[block_of[static_cast<std::size_t>(start_)]];
+  result.transitions_.reserve(lowest.size() * classes);
+  result.accepting_.reserve(lowest.size());
+  for (const std::size_t s : lowest) {
+    result.accepting_.push_back(accepting_[s]);
+    for (std::size_t k = 0; k < classes; ++k) {
+      result.transitions_.push_back(number[block_of[successor(s, k)]]);
     }
   }
   return result;

@@ -12,6 +12,11 @@
 //
 // The alphabet is compressed into byte-equivalence classes computed from the
 // NFA's transition sets, so a DFA stores one transition per class per state.
+//
+// State numbers are part of the contract, not an accident of the
+// algorithms: DfaToRegex's output (and so every `--minimized-regexps`
+// rewrite) depends on them, and tests/test_dfa_reference.cpp pins both
+// numberings against reference implementations.
 #pragma once
 
 #include <array>
@@ -26,14 +31,23 @@ namespace confanon::regex {
 class Dfa {
  public:
   /// Builds a total DFA (with an explicit dead state) from `nfa` via subset
-  /// construction.
+  /// construction. Byte classes are numbered by their lowest byte. States
+  /// are numbered in discovery order: the start subset is 0, a LIFO
+  /// worklist pops one subset at a time, steps it on each class in id
+  /// order, and numbers each new subset (the dead state is the empty
+  /// subset) as it appears. Near-linear in the NFA and DFA sizes: one
+  /// pass per distinct edge set for the classes, then one pass over each
+  /// subset's steps.
   static Dfa FromNfa(const Nfa& nfa);
 
   /// True if the DFA accepts exactly `subject` (caller handles framing).
   bool FullMatch(std::string_view subject) const;
 
-  /// Hopcroft-style partition refinement; the result is the unique minimal
-  /// total DFA for the same language.
+  /// Hopcroft's partition refinement over per-class predecessor lists,
+  /// O(n k log n); the result is the unique minimal total DFA for the same
+  /// language, with the same byte classes. Blocks are numbered in the order
+  /// of their lowest state, the numbering Moore's refinement ends with.
+  /// Minimizing a minimal DFA returns it unchanged.
   Dfa Minimize() const;
 
   /// Language equivalence via synchronized product walk.

@@ -28,23 +28,10 @@ Dfa BuildDfaFromStrings(const std::vector<std::string>& words) {
       branches.push_back(ast.AddConcat(std::move(chars)));
     }
   }
-  if (branches.empty()) {
-    // Empty language: a charset that matches nothing is inexpressible in
-    // the AST, so use a repeat-once of an impossible alternation via an
-    // empty-set DFA: build "match empty string" then strip acceptance.
-    ast.set_root(ast.AddEmpty());
-    Nfa nfa = Nfa::Build(ast);
-    Dfa dfa = Dfa::FromNfa(nfa);
-    // Rebuild with no accepting states by minimizing a DFA whose accept
-    // condition we cannot edit; instead construct a one-word language that
-    // uses a sentinel (never produced by callers) and minimize: simplest is
-    // to return the DFA for a sentinel-containing word, whose language over
-    // caller alphabets is empty.
-    return BuildDfaFromStrings({std::string(1, kBeginSentinel)});
-  }
-  ast.set_root(ast.AddAlternate(std::move(branches)));
-  Nfa nfa = Nfa::Build(ast);
-  return Dfa::FromNfa(nfa);
+  // The empty set: one byte from the empty CharSet, which nothing matches.
+  ast.set_root(branches.empty() ? ast.AddCharSet(CharSet())
+                                : ast.AddAlternate(std::move(branches)));
+  return Dfa::FromNfa(Nfa::Build(ast));
 }
 
 std::string EscapeRegexChar(char c) {

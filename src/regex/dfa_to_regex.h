@@ -16,8 +16,10 @@
 
 namespace confanon::regex {
 
-/// Builds a total DFA (trie plus dead state) accepting exactly `words`.
-/// Intended for finite languages such as a set of ASN decimal strings.
+/// Builds a total DFA (trie plus dead state) accepting exactly `words`
+/// (byte-for-byte; no metacharacters). The empty set yields a DFA with an
+/// empty language. Intended for finite languages: a set of ASN decimal
+/// strings, or the verifier's pass-list tokens (minimized by the caller).
 Dfa BuildDfaFromStrings(const std::vector<std::string>& words);
 
 /// Converts a DFA to an ERE matching exactly its language, by GNFA state

@@ -108,32 +108,6 @@ std::optional<std::string> ShortestIntersectionWitness(const Dfa& a,
   return std::nullopt;
 }
 
-Dfa LiteralSetDfa(const std::vector<std::string>& literals) {
-  Ast ast;
-  std::vector<NodeId> branches;
-  branches.reserve(literals.size());
-  for (const std::string& literal : literals) {
-    if (literal.empty()) {
-      branches.push_back(ast.AddEmpty());
-      continue;
-    }
-    std::vector<NodeId> chars;
-    chars.reserve(literal.size());
-    for (const char c : literal) {
-      chars.push_back(ast.AddCharSet(CharSet::Single(c)));
-    }
-    branches.push_back(ast.AddConcat(std::move(chars)));
-  }
-  if (branches.empty()) {
-    // Empty set: a single-byte requirement over the empty character set
-    // can never be satisfied, so the language is empty.
-    ast.set_root(ast.AddCharSet(CharSet()));
-  } else {
-    ast.set_root(ast.AddAlternate(std::move(branches)));
-  }
-  return Dfa::FromNfa(Nfa::Build(ast)).Minimize();
-}
-
 Dfa CompileFullMatchDfa(std::string_view pattern) {
   Ast ast;
   ParseOptions options;

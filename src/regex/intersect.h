@@ -16,7 +16,7 @@
 
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "regex/dfa.h"
 
@@ -27,11 +27,6 @@ namespace confanon::regex {
 /// witness byte order (digits, lowercase, punctuation, rest).
 std::optional<std::string> ShortestIntersectionWitness(const Dfa& a,
                                                        const Dfa& b);
-
-/// Builds a minimal DFA accepting exactly the given literal strings
-/// (byte-for-byte; no metacharacters). The empty set yields a DFA with
-/// an empty language.
-Dfa LiteralSetDfa(const std::vector<std::string>& literals);
 
 /// Compiles `pattern` (the IOS policy-regex dialect, '_' treated as a
 /// literal) into a full-match DFA over raw, unframed subjects. Patterns

@@ -10,6 +10,7 @@
 #include "core/rules.h"
 #include "net/ipv4.h"
 #include "net/special.h"
+#include "regex/dfa_to_regex.h"
 #include "regex/intersect.h"
 #include "util/strings.h"
 #include "verify/recognizer.h"
@@ -82,9 +83,9 @@ void AnalyzeIntersections(const DialectPolicy& policy,
       non_special_tokens.emplace_back(token);
     }
   }
-  const regex::Dfa all_dfa = regex::LiteralSetDfa(all_tokens);
+  const regex::Dfa all_dfa = regex::BuildDfaFromStrings(all_tokens).Minimize();
   const regex::Dfa non_special_dfa =
-      any_special ? regex::LiteralSetDfa(non_special_tokens)
+      any_special ? regex::BuildDfaFromStrings(non_special_tokens).Minimize()
                   : regex::Dfa(all_dfa);
   dfa_states += static_cast<std::uint64_t>(all_dfa.StateCount());
   if (any_special) {

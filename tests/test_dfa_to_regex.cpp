@@ -66,6 +66,16 @@ TEST(BuildDfaFromStrings, HandlesSharedPrefixesAndMinimizes) {
   EXPECT_EQ(minimal.StateCount(), 5);
 }
 
+TEST(BuildDfaFromStrings, EmptySetIsTheEmptyLanguage) {
+  const Dfa dfa = BuildDfaFromStrings({});
+  EXPECT_TRUE(dfa.IsEmptyLanguage());
+  for (const char* subject : {"", "\x02", "701"}) {
+    EXPECT_FALSE(dfa.FullMatch(subject)) << subject;
+  }
+  // Minimized, the empty language is the lone dead state.
+  EXPECT_EQ(dfa.Minimize().StateCount(), 1);
+}
+
 TEST(DfaToRegex, EmptyLanguageIsNullopt) {
   const Dfa dfa = BuildDfaFromStrings({});
   EXPECT_FALSE(DfaToRegex(dfa).has_value());
